@@ -4,8 +4,10 @@ The ensemble driver runs replicas with seeds seed + replica_index and
 reports sample statistics of the pathwise monitored quantities (running
 supremum of the combined energy-entropy functional, time-integrated
 dissipation, stopped fraction, worst mass drift).  Aborted replicas are
-recorded, not fatal.  Replicas may run in worker processes, capped by the
-STFE2D_THREADS environment variable (default: CPU count); summaries are
+recorded, not fatal; any other exception raised by a replica's run is
+recorded too, prefixed by its type name.  Replicas may run in worker
+processes, capped by the STFE2D_THREADS environment variable (default: CPU
+count; a non-integer value is an error); summaries are
 reduced in replica order, so they are deterministic functions of
 (config, n_replicas).
 
@@ -34,7 +36,11 @@ from .noise import NoiseModel, PowerLawSchedule, b3star_monitor
 def worker_cap() -> int:
     env = os.environ.get("STFE2D_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"STFE2D_THREADS must be an integer worker count, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -85,9 +91,11 @@ def _run_replica(cfg: Config, replica: int) -> ReplicaOutcome:
     model = bundle.noise.with_seed(seed)
     try:
         result = run(bundle.initial, bundle.run, bundle.material, model)
-    except SimulationAbort as exc:
+    except Exception as exc:
+        # one failing replica must not take the ensemble down with it
+        error = str(exc) if isinstance(exc, SimulationAbort) else f"{type(exc).__name__}: {exc}"
         return ReplicaOutcome(replica, seed, float("nan"), float("nan"),
-                              False, None, float("nan"), -1, error=str(exc))
+                              False, None, float("nan"), -1, error=error)
     st = result.final
     return ReplicaOutcome(replica, seed, result.sup_R, result.diss_integral,
                           st.stopped, st.stop_time, result.max_mass_drift, st.step)

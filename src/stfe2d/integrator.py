@@ -122,10 +122,19 @@ class SimState:
 
 @dataclass(frozen=True)
 class NoiseWorkspace:
-    """Mode set frozen at the run's mesh size, with cached basis and keys."""
+    """Mode set frozen at the run's mesh size, with cached 1D tables and keys.
+
+    The active modes form the full square {|k|, |l| <= r} in the (k outer,
+    l inner) order of ``noise.truncation_set``, and each mode is the product
+    g_k(x) g_l(y).  A component field sum_kl c_kl g_k(x_i) g_l(y_j) is
+    therefore gy^T C^T gx with the (2r+1, 2r+1) coefficient matrix
+    C[k+r, l+r] = c_kl, so only the 1D tables gx[k+r, i] = g_k(x_i) and
+    gy[l+r, j] = g_l(y_j) are stored: O(r n) memory.
+    """
 
     modes: tuple
-    basis: np.ndarray
+    gx: np.ndarray
+    gy: np.ndarray
     lam_x: np.ndarray
     lam_y: np.ndarray
     keys_x: np.ndarray
@@ -133,11 +142,15 @@ class NoiseWorkspace:
 
     @classmethod
     def build(cls, model: NoiseModel, grid: Grid, eps: float) -> "NoiseWorkspace":
+        r = noise.truncation_radius(model, grid.h, eps)
         modes = tuple(noise.truncation_set(model, grid.h, eps))
         lam_x, lam_y = model.lambda_arrays(modes)
+        x = grid.hx * np.arange(grid.nx)
+        y = grid.hy * np.arange(grid.ny)
         return cls(
             modes=modes,
-            basis=noise.basis_fields(grid, modes),
+            gx=np.array([noise.basis_1d(k, x, grid.Lx) for k in range(-r, r + 1)]),
+            gy=np.array([noise.basis_1d(l, y, grid.Ly) for l in range(-r, r + 1)]),
             lam_x=lam_x,
             lam_y=lam_y,
             keys_x=noise.mode_keys(model.seed, 0, modes),
@@ -150,12 +163,15 @@ class NoiseWorkspace:
 
     def coefficient_fields(self, step: int, attempt: int, dt: float):
         """Accumulated noise fields (w_x, w_y) for one step attempt."""
+        if not (dt > 0.0):
+            raise ValueError("dt must be positive")
         ctr = noise.step_counter(step, attempt)
         sd = np.sqrt(dt)
+        side = len(self.gx)
         cx = self.lam_x * (sd * noise.standard_normals(self.keys_x, ctr))
         cy = self.lam_y * (sd * noise.standard_normals(self.keys_y, ctr))
-        wx = np.tensordot(cx, self.basis, axes=(0, 0))
-        wy = np.tensordot(cy, self.basis, axes=(0, 0))
+        wx = self.gy.T @ (cx.reshape(side, side).T @ self.gx)
+        wy = self.gy.T @ (cy.reshape(side, side).T @ self.gx)
         return wx, wy
 
 
@@ -240,8 +256,13 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
     snap_times = sorted(cfg.snapshot_times)
     snapshots = []
 
+    # s.t sums s.step positive increments, so its rounding error stays below
+    # s.step * eps * s.t; never let that slack reach a step length
+    t_slack_cap = 1e-3 * cfg.base_dt(grid, mat)
+
     def emit_snapshots(s: SimState):
-        while snap_times and s.t >= snap_times[0] - 1e-15:
+        slack = min(s.step * np.finfo(float).eps * s.t, t_slack_cap)
+        while snap_times and s.t >= snap_times[0] - slack:
             snap_times.pop(0)
             snapshots.append((s.t, s.u))
             if snapshot_cb is not None:

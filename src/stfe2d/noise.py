@@ -191,14 +191,6 @@ def basis_eval(k: int, l: int, grid: Grid) -> Field:
     return Field(grid, np.outer(basis_1d(l, y, grid.Ly), basis_1d(k, x, grid.Lx)))
 
 
-def basis_fields(grid: Grid, modes: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Stacked nodal basis values, shape (n_modes, ny, nx)."""
-    out = np.empty((len(modes), grid.ny, grid.nx))
-    for m, (k, l) in enumerate(modes):
-        out[m] = basis_eval(k, l, grid).values
-    return out
-
-
 # ---------------------------------------------------------------------------
 # counter-based Gaussian streams
 # ---------------------------------------------------------------------------
@@ -241,29 +233,6 @@ def step_counter(step: int, attempt: int = 0) -> int:
     if not (0 <= attempt < ATTEMPT_SLOTS):
         raise ValueError(f"attempt index {attempt} out of range")
     return step * ATTEMPT_SLOTS + attempt
-
-
-@dataclass(frozen=True)
-class Increments:
-    """Per-mode Brownian increments for one step attempt (variance dt each)."""
-
-    modes: tuple
-    dwx: np.ndarray
-    dwy: np.ndarray
-    step: int
-    attempt: int
-    dt: float
-
-
-def sample_increments(model: NoiseModel, modes: Sequence[tuple[int, int]],
-                      step: int, dt: float, attempt: int = 0) -> Increments:
-    if not (dt > 0.0):
-        raise ValueError("dt must be positive")
-    ctr = step_counter(step, attempt)
-    sd = np.sqrt(dt)
-    zx = standard_normals(mode_keys(model.seed, 0, modes), ctr)
-    zy = standard_normals(mode_keys(model.seed, 1, modes), ctr)
-    return Increments(tuple(modes), sd * zx, sd * zy, step, attempt, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ import numpy as np
 from . import fem
 from .grid import Field, Grid
 from .material import Material, PositivityError, d2F_mean, mobility_mean
-from .noise import Increments
 
 
 def mesh_weight(grid: Grid, eps: float) -> float:
@@ -128,29 +127,11 @@ def z_apply_y(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
                   + w * (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0))) / grid.hy
 
 
-def noise_fields(basis: np.ndarray, lam_x: np.ndarray, lam_y: np.ndarray,
-                 inc: Increments) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulated coefficient fields sum_m lambda_m dW_m g_m for each component."""
-    wx = np.tensordot(lam_x * inc.dwx, basis, axes=(0, 0))
-    wy = np.tensordot(lam_y * inc.dwy, basis, axes=(0, 0))
-    return wx, wy
-
-
 def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,
                      stopped: bool = False) -> np.ndarray:
     if stopped:
         return np.zeros_like(u)
     return z_apply_x(u, wx, grid) + z_apply_y(u, wy, grid)
-
-
-def diffusion_apply(u: Field, basis: np.ndarray, lam_x: np.ndarray,
-                    lam_y: np.ndarray, inc: Increments,
-                    stopped: bool = False) -> Field:
-    """One-step stochastic increment field for the given mode increments."""
-    if stopped:
-        return u.with_values(np.zeros_like(u.values))
-    wx, wy = noise_fields(basis, lam_x, lam_y, inc)
-    return u.with_values(diffusion_values(u.values, u.grid, wx, wy))
 
 
 # ---------------------------------------------------------------------------

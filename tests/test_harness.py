@@ -79,6 +79,34 @@ def test_worker_cap_env(monkeypatch):
     assert worker_cap() >= 1
 
 
+def test_worker_cap_rejects_non_integer_env(monkeypatch):
+    monkeypatch.setenv("STFE2D_THREADS", "two")
+    with pytest.raises(ValueError, match="STFE2D_THREADS"):
+        worker_cap()
+
+
+def test_unexpected_replica_errors_are_recorded_not_fatal(tmp_path, monkeypatch):
+    from stfe2d import harness
+    from stfe2d.material import PositivityError
+    real_run = harness.run
+    failures = {101: PositivityError("field must be strictly positive"),
+                102: ValueError("bad value")}
+
+    def flaky_run(u0, cfg, mat, model):
+        if model.seed in failures:
+            raise failures[model.seed]
+        return real_run(u0, cfg, mat, model)
+
+    monkeypatch.setattr(harness, "run", flaky_run)
+    summary = mc_ensemble(ensemble_config(tmp_path, steps=5), 4, max_workers=1)
+    assert summary.n_aborted == 2
+    errors = [o.error for o in summary.outcomes]
+    assert errors[0] is None and errors[3] is None
+    assert errors[1] == "PositivityError: field must be strictly positive"
+    assert errors[2] == "ValueError: bad value"
+    assert np.isfinite(summary.sup_R_mean)
+
+
 def test_parallel_matches_serial(tmp_path):
     cfg = ensemble_config(tmp_path, steps=10)
     serial = mc_ensemble(cfg, 4, max_workers=1)

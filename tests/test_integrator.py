@@ -165,6 +165,16 @@ def test_snapshot_times_are_honored(mat):
     assert times[2] == pytest.approx(1e-8, rel=1e-12)
 
 
+def test_snapshot_is_not_taken_early_on_tiny_steps(mat):
+    # the step is far below any absolute time tolerance: with dt = 1e-16 the
+    # first step crossing 2.5e-16 ends at 3e-16, not at the initial state
+    grid = Grid(16, 16, 1.0, 1.0)
+    dt = 1e-16
+    cfg = RunConfig(t_max=5 * dt, dt=dt, snapshot_times=(2.5e-16,))
+    res = run(Field.constant(grid, 1.0), cfg, mat, silent_model())
+    assert [t for t, _ in res.snapshots] == [pytest.approx(3e-16, rel=1e-12, abs=0.0)]
+
+
 def test_one_step_noise_law_at_node(mat):
     # constant film, single active mode: the one-step nodal increment is a
     # centered Gaussian whose variance follows from the dense operator tables
@@ -223,16 +233,56 @@ def test_threshold_flip_is_consistent_with_energy(mat):
 
 def test_diffusion_apply_unit_increment_matches_dense_table(mat, rng):
     from stfe2d import oracle, scheme
-    from stfe2d.noise import Increments, basis_eval
+    from stfe2d.noise import standard_normals, step_counter
     grid = Grid(6, 6, 1.0, 1.0)
     u = Field(grid, rng.uniform(0.6, 1.8, (6, 6)))
     lam = 0.8
-    basis = basis_eval(1, 0, grid).values[None, :, :]
-    inc = Increments(((1, 0),), np.array([1.0]), np.array([0.0]), 0, 0, 1.0)
-    out = scheme.diffusion_apply(u, basis, np.array([lam]), np.array([lam]), inc)
+    model = NoiseModel(TableSchedule.from_dict({(1, 0): (lam, 0.0)}),
+                       trunc_C=5.0, mode_cap=1)
+    ws = NoiseWorkspace.build(model, grid, mat.eps)
+    # pick dt so that the x increment of mode (1, 0) is exactly one
+    z = standard_normals(ws.keys_x[ws.modes.index((1, 0))], step_counter(0, 0))
+    wx, wy = ws.coefficient_fields(0, 0, dt=1.0 / z**2)
+    out = scheme.diffusion_values(u.values, grid, np.sign(z) * wx, wy)
     tx, _ = oracle.dense_Z_table(grid, 1, 0)
     expected = lam * (tx @ u.values.ravel()).reshape(6, 6)
-    assert np.abs(out.values - expected).max() <= 1e-12
+    assert np.abs(out - expected).max() <= 1e-12
+
+
+def test_coefficient_fields_match_dense_mode_sum(mat):
+    # non-square grid and domain, and a schedule with lambda_x != lambda_y
+    # and (k, l) != (l, k): a transposed reshape or swapped table would show
+    from stfe2d.noise import basis_eval, standard_normals, step_counter
+    grid = Grid(24, 16, 1.5, 1.0)
+    table = {(1, 0): (0.3, 0.1), (0, 1): (0.05, 0.2), (-2, 1): (0.4, 0.0),
+             (1, -2): (0.0, 0.25), (3, -1): (0.15, 0.35), (-1, 3): (0.02, 0.07),
+             (0, 0): (0.5, 0.6), (2, 2): (0.11, 0.09)}
+    model = NoiseModel(TableSchedule.from_dict(table), trunc_C=5.0, mode_cap=3,
+                       seed=8)
+    ws = NoiseWorkspace.build(model, grid, mat.eps)
+    assert max(k for k, _ in ws.modes) == 3
+    step, attempt, dt = 11, 2, 3e-3
+    wx, wy = ws.coefficient_fields(step, attempt, dt)
+    ctr = step_counter(step, attempt)
+    ref_x = np.zeros((grid.ny, grid.nx))
+    ref_y = np.zeros((grid.ny, grid.nx))
+    for m, (k, l) in enumerate(ws.modes):
+        g = basis_eval(k, l, grid).values
+        lx, ly = table.get((k, l), (0.0, 0.0))
+        ref_x += lx * np.sqrt(dt) * standard_normals(ws.keys_x[m], ctr) * g
+        ref_y += ly * np.sqrt(dt) * standard_normals(ws.keys_y[m], ctr) * g
+    assert wx.shape == wy.shape == (grid.ny, grid.nx)
+    assert np.abs(wx - ref_x).max() <= 1e-13 * np.abs(ref_x).max()
+    assert np.abs(wy - ref_y).max() <= 1e-13 * np.abs(ref_y).max()
+
+
+def test_noise_workspace_memory_is_linear_in_n(mat):
+    # a dense (n_modes, ny, nx) basis here would hold 4225 modes, about 2.2 GB
+    grid = Grid(256, 256, 1.0, 1.0)
+    ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule(), trunc_C=2.0), grid, mat.eps)
+    assert len(ws.modes) == 4225
+    nbytes = sum(v.nbytes for v in vars(ws).values() if isinstance(v, np.ndarray))
+    assert nbytes < 2**20
 
 
 def test_rectangular_domain_end_to_end(mat):

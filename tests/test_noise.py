@@ -3,11 +3,12 @@ import pytest
 
 from stfe2d import fem, noise
 from stfe2d.grid import Grid
+from stfe2d.integrator import NoiseWorkspace
 from stfe2d.material import AssumptionError
 from stfe2d.noise import (NoiseConfigError, NoiseModel, PowerLawSchedule,
                           TableSchedule, b3star_monitor, basis_eval,
-                          mode_keys, sample_increments, standard_normals,
-                          step_counter, strat_constant, truncation_set)
+                          mode_keys, standard_normals, step_counter,
+                          strat_constant, truncation_set)
 
 
 def _trig_mode_sq(k, x, L):
@@ -84,28 +85,34 @@ def test_truncation_nesting_and_cap():
 # increments
 # ---------------------------------------------------------------------------
 
+def _draws(model, modes, step, attempt=0):
+    ctr = step_counter(step, attempt)
+    return (standard_normals(mode_keys(model.seed, 0, modes), ctr),
+            standard_normals(mode_keys(model.seed, 1, modes), ctr))
+
+
 def test_increment_determinism():
     model = NoiseModel(PowerLawSchedule(), seed=99)
     modes = truncation_set(model, 1.0 / 8, 1.0)
-    a = sample_increments(model, modes, step=17, dt=0.125)
-    b = sample_increments(model, modes, step=17, dt=0.125)
-    assert np.array_equal(a.dwx, b.dwx) and np.array_equal(a.dwy, b.dwy)
-    c = sample_increments(model, modes, step=18, dt=0.125)
-    assert not np.array_equal(a.dwx, c.dwx)
-    d = sample_increments(model, modes, step=17, dt=0.125, attempt=1)
-    assert not np.array_equal(a.dwx, d.dwx)
+    ax, ay = _draws(model, modes, step=17)
+    bx, by = _draws(model, modes, step=17)
+    assert np.array_equal(ax, bx) and np.array_equal(ay, by)
+    cx, _ = _draws(model, modes, step=18)
+    assert not np.array_equal(ax, cx)
+    dx, _ = _draws(model, modes, step=17, attempt=1)
+    assert not np.array_equal(ax, dx)
 
 
 def test_surviving_modes_unchanged_under_truncation_shrink():
     model = NoiseModel(PowerLawSchedule(), seed=4)
     big = truncation_set(model, 1.0 / 64, 1.0)
     small = truncation_set(model, 1.0 / 8, 1.0)
-    inc_big = sample_increments(model, big, step=3, dt=0.5)
-    inc_small = sample_increments(model, small, step=3, dt=0.5)
+    big_x, big_y = _draws(model, big, step=3)
+    small_x, small_y = _draws(model, small, step=3)
     index = {m: i for i, m in enumerate(big)}
     for i, m in enumerate(small):
-        assert inc_small.dwx[i] == inc_big.dwx[index[m]]
-        assert inc_small.dwy[i] == inc_big.dwy[index[m]]
+        assert small_x[i] == big_x[index[m]]
+        assert small_y[i] == big_y[index[m]]
 
 
 def test_gaussian_moments_across_steps():
@@ -130,8 +137,9 @@ def test_mode_streams_uncorrelated():
 def test_attempt_slot_bounds():
     with pytest.raises(ValueError):
         step_counter(3, noise.ATTEMPT_SLOTS)
+    ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule()), Grid(4, 4, 1.0, 1.0), 1.0)
     with pytest.raises(ValueError):
-        sample_increments(NoiseModel(PowerLawSchedule()), [(0, 0)], 0, dt=0.0)
+        ws.coefficient_fields(0, 0, dt=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ import pytest
 from conftest import positive_field
 from stfe2d import fem, oracle, scheme
 from stfe2d.grid import Field, Grid
+from stfe2d.integrator import NoiseWorkspace
 from stfe2d.material import PositivityError
-from stfe2d.noise import Increments, basis_eval
+from stfe2d.noise import NoiseModel, PowerLawSchedule, basis_eval
 
 
 def near_unity_field(rng, grid, amp=0.05):
@@ -107,10 +108,10 @@ def test_drift_stopped_is_zero(mat, rng, grid65):
 
 def test_diffusion_zero_schedule(mat, rng, grid65):
     u = positive_field(rng, grid65)
-    basis = np.zeros((1, grid65.ny, grid65.nx))
-    inc = Increments(((0, 0),), np.array([1.0]), np.array([1.0]), 0, 0, 1.0)
-    out = scheme.diffusion_apply(u, basis, np.zeros(1), np.zeros(1), inc)
-    assert np.all(out.values == 0.0)
+    ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule(lambda0=0.0)), grid65, mat.eps)
+    wx, wy = ws.coefficient_fields(0, 0, dt=1.0)
+    out = scheme.diffusion_values(u.values, grid65, wx, wy)
+    assert np.all(out == 0.0)
 
 
 def test_diffusion_constant_mode_on_constant_film(grid65):
