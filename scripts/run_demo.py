@@ -2,7 +2,9 @@
 """Run one stochastic trajectory with the default setup and plot-free summary.
 
 Writes diagnostics and snapshots under out/demo/ and prints the headline
-numbers (mass drift, energy, entropy, stop status).
+numbers (mass drift, energy, entropy, stop status).  With --profile the run
+goes through cProfile and the functions with the largest own time are
+printed after it.
 """
 
 import argparse
@@ -19,6 +21,8 @@ def main():
     ap.add_argument("--lambda0", type=float, default=0.1, help="noise amplitude")
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--out", type=Path, default=Path("out/demo"))
+    ap.add_argument("--profile", action="store_true",
+                    help="profile the run and print the top entries by own time")
     args = ap.parse_args()
 
     from stfe2d.grid import Grid
@@ -37,7 +41,14 @@ def main():
     args.out.mkdir(parents=True, exist_ok=True)
     cfg_path = args.out / "config.json"
     cfg_path.write_text(json.dumps(config, indent=2))
-    raise SystemExit(cli.main(["run", str(cfg_path)]))
+    if not args.profile:
+        raise SystemExit(cli.main(["run", str(cfg_path)]))
+    import cProfile
+    import pstats
+    with cProfile.Profile() as prof:
+        code = cli.main(["run", str(cfg_path)])
+    pstats.Stats(prof).sort_stats("tottime").print_stats(15)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

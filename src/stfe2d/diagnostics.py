@@ -4,31 +4,18 @@ oscillation ratio, mass, dissipation bookkeeping."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
 
 from . import fem, scheme
 from .grid import Field, Grid
 from .material import Material
-
-
-class EnergyParts(NamedTuple):
-    dirichlet: float
-    potential: float
-    curvature: float
-    total: float
+from .scheme import EnergyParts
 
 
 def energy_h(u: Field, mat: Material) -> EnergyParts:
     """Regularized discrete energy: gradient + potential + h^eps curvature."""
-    grid = u.grid
-    v = u.values
-    e_dir = 0.5 * (fem.dirichlet_x(v, v, grid) + fem.dirichlet_y(v, v, grid))
-    e_pot = fem.lumped_integral(mat.potential_F(v), grid)
-    lap_u = fem.lap(v, grid)
-    e_curv = 0.5 * scheme.mesh_weight(grid, mat.eps) * fem.inner_h(lap_u, lap_u, grid)
-    return EnergyParts(e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
+    v, grid = u.values, u.grid
+    return scheme.energy_parts(v, fem.shift(v, -1, 1), fem.shift(v, -1, 0),
+                               fem.lap(v, grid), mat, grid)
 
 
 def entropy_h(u: Field, mat: Material) -> float:
@@ -50,14 +37,8 @@ def threshold_energy(grid: Grid, mat: Material, e_max_C: float) -> float:
 def oscillation_ratio(u: Field) -> float:
     """Max of u(center)/u(neighbor) over all 3x3 periodic neighborhoods."""
     v = u.values
-    if np.any(v <= 0.0):
-        raise ValueError("oscillation ratio needs a strictly positive field")
-    worst = 1.0
-    for dj in (-1, 0, 1):
-        for di in (-1, 0, 1):
-            shifted = np.roll(np.roll(v, dj, axis=0), di, axis=1)
-            worst = max(worst, float((v / shifted).max()))
-    return worst
+    scheme.check_positive(v)
+    return scheme.oscillation(v, fem.shift(v, -1, 1), fem.shift(v, 1, 1))
 
 
 def mass(u: Field) -> float:
@@ -92,10 +73,13 @@ class DiagRecord:
 
 
 def make_record(u: Field, mat: Material, t: float, stopped: bool,
-                alpha: float = 1.0, kappa: float = 1.0) -> DiagRecord:
-    parts = energy_h(u, mat)
-    s = entropy_h(u, mat)
-    dx, dy = scheme.dissipation(u, mat, stopped)
+                alpha: float = 1.0, kappa: float = 1.0,
+                terms: scheme.StateTerms | None = None) -> DiagRecord:
+    """The record of a state; ``terms`` are its ``scheme.state_terms`` when
+    the caller has them already."""
+    if terms is None:
+        terms = scheme.state_terms(u.values, mat, u.grid)
+    parts = terms.energy
     return DiagRecord(
         t=t,
         mass=mass(u),
@@ -105,10 +89,10 @@ def make_record(u: Field, mat: Material, t: float, stopped: bool,
         E_pot=parts.potential,
         E_curv=parts.curvature,
         E_total=parts.total,
-        S=s,
-        R=alpha + parts.total + kappa * s,
-        osc=oscillation_ratio(u),
-        diss_x=dx,
-        diss_y=dy,
+        S=terms.entropy,
+        R=alpha + parts.total + kappa * terms.entropy,
+        osc=terms.osc,
+        diss_x=0.0 if stopped else terms.diss_x,
+        diss_y=0.0 if stopped else terms.diss_y,
         stopped=stopped,
     )

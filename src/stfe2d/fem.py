@@ -26,24 +26,44 @@ class SolverError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# difference quotients
+# periodic shifts and difference quotients
 # ---------------------------------------------------------------------------
+
+def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
+    """``np.roll(values, offset, axis)`` by two slices, without np.roll's
+    per-call overhead: shift(v, -1, 1)[j, i] = v[j, i+1] (periodic)."""
+    k = -offset % values.shape[axis]
+    if axis == 0:
+        return np.concatenate((values[k:], values[:k]), axis=0)
+    return np.concatenate((values[:, k:], values[:, :k]), axis=1)
+
+
+def second_difference(ahead: np.ndarray, centre: np.ndarray, behind: np.ndarray,
+                      h: float) -> np.ndarray:
+    """3-point stencil (ahead - 2 centre + behind) / h^2 from given neighbors,
+    evaluated in that order in one output array."""
+    out = np.multiply(centre, 2.0)
+    np.subtract(ahead, out, out=out)
+    out += behind
+    out /= h**2
+    return out
+
 
 def dqx_plus(values: np.ndarray, grid: Grid) -> np.ndarray:
     """(f[i+1,j] - f[i,j]) / hx with periodic wrap; lives on x-edge (i+1/2, j)."""
-    return (np.roll(values, -1, axis=1) - values) / grid.hx
+    return (shift(values, -1, 1) - values) / grid.hx
 
 
 def dqx_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (values - np.roll(values, 1, axis=1)) / grid.hx
+    return (values - shift(values, 1, 1)) / grid.hx
 
 
 def dqy_plus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (np.roll(values, -1, axis=0) - values) / grid.hy
+    return (shift(values, -1, 0) - values) / grid.hy
 
 
 def dqy_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (values - np.roll(values, 1, axis=0)) / grid.hy
+    return (values - shift(values, 1, 0)) / grid.hy
 
 
 def dq_x_plus(f: Field, i: int, j: int) -> float:
@@ -73,15 +93,17 @@ def dq_y_minus(f: Field, i: int, j: int) -> float:
 
 def lap_x(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Periodic 3-point stencil in x; equals dqx_plus(dqx_minus(.))."""
-    return (np.roll(values, -1, axis=1) - 2.0 * values + np.roll(values, 1, axis=1)) / grid.hx**2
+    return second_difference(shift(values, -1, 1), values, shift(values, 1, 1), grid.hx)
 
 
 def lap_y(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (np.roll(values, -1, axis=0) - 2.0 * values + np.roll(values, 1, axis=0)) / grid.hy**2
+    return second_difference(shift(values, -1, 0), values, shift(values, 1, 0), grid.hy)
 
 
 def lap(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return lap_x(values, grid) + lap_y(values, grid)
+    out = lap_x(values, grid)
+    out += lap_y(values, grid)
+    return out
 
 
 def bilap(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -131,11 +153,11 @@ def norm_h(a: np.ndarray, grid: Grid) -> float:
 
 def nodal_to_edge_x(a: np.ndarray) -> np.ndarray:
     """Arithmetic edge average of a nodal coefficient: value at (i+1/2, j)."""
-    return 0.5 * (a + np.roll(a, -1, axis=1))
+    return 0.5 * (a + shift(a, -1, 1))
 
 
 def nodal_to_edge_y(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.roll(a, -1, axis=0))
+    return 0.5 * (a + shift(a, -1, 0))
 
 
 def dirichlet_x(f: np.ndarray, g: np.ndarray, grid: Grid,
@@ -207,16 +229,16 @@ def stiffness_apply(values: np.ndarray, grid: Grid) -> np.ndarray:
     hx, hy = grid.hx, grid.hy
 
     def kx(v):
-        return (2.0 * v - np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / hx
+        return (2.0 * v - shift(v, -1, 1) - shift(v, 1, 1)) / hx
 
     def ky(v):
-        return (2.0 * v - np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / hy
+        return (2.0 * v - shift(v, -1, 0) - shift(v, 1, 0)) / hy
 
     def mx(v):
-        return hx / 6.0 * (np.roll(v, -1, axis=1) + 4.0 * v + np.roll(v, 1, axis=1))
+        return hx / 6.0 * (shift(v, -1, 1) + 4.0 * v + shift(v, 1, 1))
 
     def my(v):
-        return hy / 6.0 * (np.roll(v, -1, axis=0) + 4.0 * v + np.roll(v, 1, axis=0))
+        return hy / 6.0 * (shift(v, -1, 0) + 4.0 * v + shift(v, 1, 0))
 
     return my(kx(values)) + mx(ky(values))
 

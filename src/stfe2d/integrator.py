@@ -18,7 +18,7 @@ see ``stable_dt``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -109,6 +109,11 @@ class SimState:
     stopped: bool
     stop_time: float | None
     initial_mass: float
+    # scheme.state_terms(u.values, mat, u.grid) for the mat the state is
+    # stepped with, computed once when the state is accepted; step_em trusts
+    # it whenever it is set.  A state whose u is replaced by hand (e.g. with
+    # dataclasses.replace) must also set terms=None, so they are recomputed.
+    terms: scheme.StateTerms | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def initial(cls, u0: Field) -> "SimState":
@@ -175,9 +180,20 @@ class NoiseWorkspace:
         return wx, wy
 
 
+def time_slack(step: int, t: float, base_dt: float) -> float:
+    """Rounding slack of a clock that reached t by summing ``step`` positive
+    increments: its error stays below step * eps * t, and the slack never
+    reaches a step length (capped at 1e-3 of the base step)."""
+    return min(step * np.finfo(float).eps * t, 1e-3 * base_dt)
+
+
 def step_em(state: SimState, cfg: RunConfig, mat: Material,
             ws: NoiseWorkspace) -> SimState:
-    """One Euler-Maruyama step (or a frozen clock advance once stopped)."""
+    """One Euler-Maruyama step (or a frozen clock advance once stopped).
+
+    Drift and threshold test come from ``state.terms`` (computed here if
+    absent); the returned state carries the terms of its own field.
+    """
     grid = state.u.grid
     dt_full = min(cfg.base_dt(grid, mat), max(cfg.t_max - state.t, 0.0))
     if dt_full <= 0.0:
@@ -186,20 +202,21 @@ def step_em(state: SimState, cfg: RunConfig, mat: Material,
     if state.stopped:
         return replace(state, t=state.t + dt_full, step=state.step + 1)
 
+    terms = state.terms
+    if terms is None:
+        terms = scheme.state_terms(state.u.values, mat, grid)
     e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
-    if diagnostics.energy_h(state.u, mat).total >= e_max:
+    if terms.energy.total >= e_max:
         return replace(state, t=state.t + dt_full, step=state.step + 1,
-                       stopped=True, stop_time=state.t)
+                       stopped=True, stop_time=state.t, terms=terms)
 
     u = state.u.values
-    drift = scheme.drift_values(u, mat, grid)
-
     dt_try = dt_full
     for attempt in range(cfg.max_halvings + 1):
-        u_new = u + dt_try * drift
+        u_new = u + dt_try * terms.drift
         if ws.active:
-            wx, wy = ws.coefficient_fields(state.step, attempt, dt_try)
-            u_new = u_new + scheme.diffusion_values(u, grid, wx, wy)
+            u_new = u_new + scheme.diffusion_values(
+                u, grid, *ws.coefficient_fields(state.step, attempt, dt_try))
         if not np.all(np.isfinite(u_new)):
             raise OverflowAbort(state.step)
         if np.all(u_new > cfg.u_floor):
@@ -211,11 +228,12 @@ def step_em(state: SimState, cfg: RunConfig, mat: Material,
         raise PositivityAbort(state.step, (i, j), float(u_new.ravel()[flat]), dt_try * 2.0)
 
     new_field = Field(grid, u_new)
+    del u_new
     new_t = state.t + dt_try
-    new_state = replace(state, u=new_field, t=new_t, step=state.step + 1)
-    if diagnostics.energy_h(new_field, mat).total >= e_max:
-        new_state = replace(new_state, stopped=True, stop_time=new_t)
-    return new_state
+    new_terms = scheme.state_terms(new_field.values, mat, grid)
+    stopped = new_terms.energy.total >= e_max
+    return replace(state, u=new_field, t=new_t, step=state.step + 1, terms=new_terms,
+                   stopped=stopped, stop_time=new_t if stopped else None)
 
 
 @dataclass
@@ -239,14 +257,15 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
     """
     grid = u0.grid
     ws = NoiseWorkspace.build(model, grid, mat.eps)
-    state = SimState.initial(u0)
+    state = replace(SimState.initial(u0), terms=scheme.state_terms(u0.values, mat, grid))
 
     e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
-    if diagnostics.energy_h(u0, mat).total >= e_max:
+    if state.terms.energy.total >= e_max:
         state = replace(state, stopped=True, stop_time=0.0)
 
     def record_of(s: SimState) -> diagnostics.DiagRecord:
-        return diagnostics.make_record(s.u, mat, s.t, s.stopped, cfg.alpha, cfg.kappa)
+        return diagnostics.make_record(s.u, mat, s.t, s.stopped, cfg.alpha, cfg.kappa,
+                                       terms=s.terms)
 
     rec = record_of(state)
     records = [rec]
@@ -255,14 +274,13 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
 
     snap_times = sorted(cfg.snapshot_times)
     snapshots = []
+    base_dt = cfg.base_dt(grid, mat)
 
-    # s.t sums s.step positive increments, so its rounding error stays below
-    # s.step * eps * s.t; never let that slack reach a step length
-    t_slack_cap = 1e-3 * cfg.base_dt(grid, mat)
+    def reached(s: SimState, target: float) -> bool:
+        return s.t >= target - time_slack(s.step, s.t, base_dt)
 
     def emit_snapshots(s: SimState):
-        slack = min(s.step * np.finfo(float).eps * s.t, t_slack_cap)
-        while snap_times and s.t >= snap_times[0] - slack:
+        while snap_times and reached(s, snap_times[0]):
             snap_times.pop(0)
             snapshots.append((s.t, s.u))
             if snapshot_cb is not None:
@@ -277,8 +295,7 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
     diss_prev = rec.diss_x + rec.diss_y
     mass0 = state.initial_mass
 
-    t_guard = 1e-9 * cfg.t_max  # skip sub-rounding slivers of the horizon
-    while state.t < cfg.t_max - t_guard:
+    while not reached(state, cfg.t_max):
         prev_t = state.t
         state = step_em(state, cfg, mat, ws)
         rec = record_of(state)
@@ -289,7 +306,7 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
         if not state.stopped:
             sup_osc = max(sup_osc, rec.osc)
         max_drift = max(max_drift, abs(rec.mass - mass0) / abs(mass0))
-        done = state.t >= cfg.t_max - t_guard
+        done = reached(state, cfg.t_max)
         if state.step % cfg.diag_interval == 0 or done:
             records.append(rec)
             if diag_cb is not None:

@@ -23,17 +23,22 @@ of d/dx (u w), which by the product rule on nodal data is
 u_node * d+w + w_node * d+u, weighted hx/2 per element.  The operator is
 linear in w, so a whole mode sum can be applied through the accumulated
 noise fields w_x, w_y at once, and its nodal sum also telescopes to zero.
+
+``state_terms`` is the one-pass kernel the integrator calls once per
+accepted state: drift, energy parts, entropy, dissipation and oscillation
+ratio from one set of periodic neighbor arrays.  ``drift_values``,
+``dissipation`` and ``diagnostics.energy_h`` share its helpers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fem
 from .grid import Field, Grid
-from .material import Material, PositivityError, d2F_mean, mobility_mean
+from .material import Material, PositivityError
 
 
 def mesh_weight(grid: Grid, eps: float) -> float:
@@ -46,70 +51,141 @@ def mesh_weight(grid: Grid, eps: float) -> float:
     return h**eps
 
 
-@dataclass(frozen=True)
-class EdgeCoeffs:
-    """Mobility means on x-edges (i+1/2, j) and y-edges (i, j+1/2)."""
-
-    x_edges: np.ndarray
-    y_edges: np.ndarray
-
-
-def _check_positive(u: np.ndarray):
+def check_positive(u: np.ndarray):
     if np.any(u <= 0.0):
         raise PositivityError(
             f"field must be strictly positive (min = {float(u.min()):g})")
 
 
-def mobility_edges(u: Field, mat: Material | None = None) -> EdgeCoeffs:
-    """Entropy-consistent mobility weights: product of edge endpoint values."""
-    v = u.values
-    _check_positive(v)
-    return EdgeCoeffs(
-        x_edges=mobility_mean(v, np.roll(v, -1, axis=1)),
-        y_edges=mobility_mean(v, np.roll(v, -1, axis=0)),
-    )
+class EnergyParts(NamedTuple):
+    dirichlet: float
+    potential: float
+    curvature: float
+    total: float
 
 
-def d2F_edges(u: Field, mat: Material) -> EdgeCoeffs:
-    """Averaged F'' on edges (divided differences of F')."""
-    v = u.values
-    return EdgeCoeffs(
-        x_edges=d2F_mean(mat, v, np.roll(v, -1, axis=1)),
-        y_edges=d2F_mean(mat, v, np.roll(v, -1, axis=0)),
-    )
+class StateTerms(NamedTuple):
+    """What the integrator and the diagnostics record need of one state."""
+
+    drift: np.ndarray
+    energy: EnergyParts
+    entropy: float
+    diss_x: float          # mobility-weighted squared pressure gradients
+    diss_y: float
+    osc: float             # largest u(center)/u(neighbor) over 3x3 neighborhoods
+
+
+def oscillation(u: np.ndarray, east: np.ndarray, west: np.ndarray) -> float:
+    """Max of u(center)/u(neighbor) over the periodic 3x3 neighborhoods.
+
+    Evaluated as max(u / min_3x3(u)) from the x-neighbors: division by a
+    positive divisor rounds monotonically, so this equals the maximum over
+    the nine ratio fields bit for bit.
+    """
+    row = np.minimum(np.minimum(west, u), east)
+    low = np.minimum(np.minimum(fem.shift(row, 1, 0), row), fem.shift(row, -1, 0))
+    return float((u / low).max())
 
 
 # ---------------------------------------------------------------------------
-# pressure and drift
+# pressure, drift and the one-pass state kernel
 # ---------------------------------------------------------------------------
+
+def _pressure(u: np.ndarray, lap_u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
+    """-lap_u + F'(u) + h^eps lap(lap_u) from the Laplacian lap_u of u."""
+    bilap = fem.lap(lap_u, grid)
+    bilap *= mesh_weight(grid, mat.eps)
+    p = mat.dF(u)
+    p -= lap_u
+    p += bilap
+    return p
+
 
 def pressure_values(u: np.ndarray, mat: Material, grid: Grid,
                     stopped: bool = False) -> np.ndarray:
     if stopped:
         return np.zeros_like(u)
-    _check_positive(u)
-    heps = mesh_weight(grid, mat.eps)
-    return -fem.lap(u, grid) + mat.dF(u) + heps * fem.bilap(u, grid)
+    check_positive(u)
+    return _pressure(u, fem.lap(u, grid), mat, grid)
 
 
 def compute_pressure(u: Field, mat: Material, stopped: bool = False) -> Field:
     return u.with_values(pressure_values(u.values, mat, u.grid, stopped))
 
 
+def state_terms(u: np.ndarray, mat: Material, grid: Grid) -> StateTerms:
+    """Drift, energy parts, entropy, dissipation and oscillation of one state.
+
+    The Laplacian, the pressure and the periodic neighbors of u are each
+    formed once and shared.
+    """
+    check_positive(u)
+    east, west = fem.shift(u, -1, 1), fem.shift(u, 1, 1)
+    osc = oscillation(u, east, west)
+    lap_u = fem.second_difference(east, u, west, grid.hx)
+    del west
+    north, south = fem.shift(u, -1, 0), fem.shift(u, 1, 0)
+    lap_u += fem.second_difference(north, u, south, grid.hy)
+    del south
+    energy = energy_parts(u, east, north, lap_u, mat, grid)
+    p = _pressure(u, lap_u, mat, grid)
+    del lap_u
+    drift, diss_x, diss_y = edge_fluxes(u, east, north, p, grid)
+    entropy = fem.lumped_integral(mat.entropy_G(u), grid)
+    return StateTerms(drift, energy, entropy, diss_x, diss_y, osc)
+
+
+def energy_parts(u: np.ndarray, east: np.ndarray, north: np.ndarray,
+                 lap_u: np.ndarray, mat: Material, grid: Grid) -> EnergyParts:
+    """Gradient + potential + h^eps curvature energy from the east and north
+    neighbors and the Laplacian of u."""
+    grad = (east - u) / grid.hx
+    e_dir = fem.inner_h(grad, grad, grid)
+    grad = (north - u) / grid.hy
+    e_dir = 0.5 * (e_dir + fem.inner_h(grad, grad, grid))
+    del grad
+    e_pot = fem.lumped_integral(mat.potential_F(u), grid)
+    e_curv = 0.5 * mesh_weight(grid, mat.eps) * fem.inner_h(lap_u, lap_u, grid)
+    return EnergyParts(e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
+
+
+def edge_fluxes(u: np.ndarray, east: np.ndarray, north: np.ndarray, p: np.ndarray,
+                grid: Grid) -> tuple[np.ndarray, float, float]:
+    """Drift d-_x(M_x d+_x p) + d-_y(M_y d+_y p) and the dissipation parts
+    |sqrt(M) d+ p|^2, with the entropy-consistent edge mobility M = u * u_neighbor.
+    Overwrites ``east`` and ``north``."""
+    divs, diss = [], []
+    for mob, dq_plus, dq_minus in ((east, fem.dqx_plus, fem.dqx_minus),
+                                   (north, fem.dqy_plus, fem.dqy_minus)):
+        mob *= u
+        grad = dq_plus(p, grid)
+        flux = np.sqrt(mob) * grad
+        diss.append(fem.inner_h(flux, flux, grid))
+        mob *= grad
+        del flux, grad
+        divs.append(dq_minus(mob, grid))
+    divs[0] += divs[1]
+    return divs[0], diss[0], diss[1]
+
+
+def _drift_and_dissipation(u: np.ndarray, mat: Material, grid: Grid):
+    p = pressure_values(u, mat, grid)
+    return edge_fluxes(u, fem.shift(u, -1, 1), fem.shift(u, -1, 0), p, grid)
+
+
 def drift_values(u: np.ndarray, mat: Material, grid: Grid,
                  stopped: bool = False) -> np.ndarray:
     if stopped:
         return np.zeros_like(u)
-    p = pressure_values(u, mat, grid)
-    mob_x = mobility_mean(u, np.roll(u, -1, axis=1))
-    mob_y = mobility_mean(u, np.roll(u, -1, axis=0))
-    div_x = fem.dqx_minus(mob_x * fem.dqx_plus(p, grid), grid)
-    div_y = fem.dqy_minus(mob_y * fem.dqy_plus(p, grid), grid)
-    return div_x + div_y
+    return _drift_and_dissipation(u, mat, grid)[0]
 
 
-def drift(u: Field, mat: Material, stopped: bool = False) -> Field:
-    return u.with_values(drift_values(u.values, mat, u.grid, stopped))
+def dissipation(u: Field, mat: Material, stopped: bool = False) -> tuple[float, float]:
+    """Mobility-weighted squared pressure gradients (x and y parts)."""
+    if stopped:
+        return 0.0, 0.0
+    _, diss_x, diss_y = _drift_and_dissipation(u.values, mat, u.grid)
+    return diss_x, diss_y
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +194,13 @@ def drift(u: Field, mat: Material, stopped: bool = False) -> Field:
 
 def z_apply_x(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
     """Nodal action of the x-noise operator for coefficient field w."""
-    return 0.5 * (u * (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1))
-                  + w * (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1))) / grid.hx
+    return 0.5 * (u * (fem.shift(w, -1, 1) - fem.shift(w, 1, 1))
+                  + w * (fem.shift(u, -1, 1) - fem.shift(u, 1, 1))) / grid.hx
 
 
 def z_apply_y(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
-    return 0.5 * (u * (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0))
-                  + w * (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0))) / grid.hy
+    return 0.5 * (u * (fem.shift(w, -1, 0) - fem.shift(w, 1, 0))
+                  + w * (fem.shift(u, -1, 0) - fem.shift(u, 1, 0))) / grid.hy
 
 
 def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,
@@ -132,27 +208,3 @@ def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,
     if stopped:
         return np.zeros_like(u)
     return z_apply_x(u, wx, grid) + z_apply_y(u, wy, grid)
-
-
-# ---------------------------------------------------------------------------
-# fluxes and dissipation
-# ---------------------------------------------------------------------------
-
-def fluxes(u: Field, mat: Material, stopped: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Edge fluxes sqrt(M) * d+ p in each direction (zero once stopped)."""
-    grid = u.grid
-    if stopped:
-        z = np.zeros_like(u.values)
-        return z, z.copy()
-    p = pressure_values(u.values, mat, grid)
-    mob = mobility_edges(u)
-    jx = np.sqrt(mob.x_edges) * fem.dqx_plus(p, grid)
-    jy = np.sqrt(mob.y_edges) * fem.dqy_plus(p, grid)
-    return jx, jy
-
-
-def dissipation(u: Field, mat: Material, stopped: bool = False) -> tuple[float, float]:
-    """Mobility-weighted squared pressure gradients (x and y parts)."""
-    jx, jy = fluxes(u, mat, stopped)
-    area = u.grid.cell_area
-    return area * float((jx**2).sum()), area * float((jy**2).sum())

@@ -9,8 +9,17 @@ from stfe2d.grid import Field, Grid
 
 
 # ---------------------------------------------------------------------------
-# difference quotients
+# periodic shifts and difference quotients
 # ---------------------------------------------------------------------------
+
+def test_shift_matches_np_roll(rng):
+    a = rng.standard_normal((5, 7))
+    for axis in (0, 1):
+        for offset in (-8, -1, 0, 1, 3, 7):
+            out = fem.shift(a, offset, axis)
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, np.roll(a, offset, axis=axis))
+
 
 def test_dq_constant_field_is_zero(grid44):
     f = Field.constant(grid44, 5.0)

@@ -4,7 +4,8 @@ import pytest
 from stfe2d import diagnostics, scheme
 from stfe2d.grid import Field, Grid
 from stfe2d.integrator import (NoiseWorkspace, OverflowAbort, PositivityAbort,
-                               RunConfig, SimState, run, stable_dt, step_em)
+                               RunConfig, SimState, run, stable_dt, step_em, time_slack)
+from stfe2d.material import Material, mobility_mean
 from stfe2d.noise import NoiseModel, PowerLawSchedule, TableSchedule
 
 
@@ -305,3 +306,168 @@ def test_rectangular_domain_end_to_end(mat):
                 NoiseModel(PowerLawSchedule(lambda0=0.0)))
     E = np.array([r.E_total for r in quiet.records])
     assert np.all(np.diff(E) <= 1e-8)
+
+
+def test_horizon_slack_stays_below_a_step_on_long_runs():
+    # t_max / dt = 1e10: an absolute slack of 1e-9 * t_max would span ten
+    # steps and end the run early; the slack must stay below one step
+    dt = 1e-9
+    t_max = 1e10 * dt
+    steps = 10**10 - 1
+    t = steps * dt  # one step before the horizon
+    slack = time_slack(steps, t, dt)
+    assert 1e-9 * t_max > dt
+    assert 0.0 < slack < dt
+    assert t < t_max - slack  # the last step is still taken
+    # a clock that falls short of the horizon only by summation rounding
+    # has reached it
+    t = 0.0
+    for _ in range(1000):
+        t += 0.1
+    assert t < 100.0 and t >= 100.0 - time_slack(1000, t, 0.1)
+
+
+def roll_reference_terms(v, mat, grid):
+    """Drift, energy parts, entropy, dissipation and oscillation ratio of a
+    field, from np.roll stencils and the material building blocks."""
+    hx, hy, area = grid.hx, grid.hy, grid.cell_area
+    heps = grid.h ** mat.eps
+
+    def lap(a):
+        return ((np.roll(a, -1, axis=1) - 2.0 * a + np.roll(a, 1, axis=1)) / hx**2
+                + (np.roll(a, -1, axis=0) - 2.0 * a + np.roll(a, 1, axis=0)) / hy**2)
+
+    lap_u = lap(v)
+    p = -lap_u + mat.dF(v) + heps * lap(lap_u)
+    gx = (np.roll(v, -1, axis=1) - v) / hx
+    gy = (np.roll(v, -1, axis=0) - v) / hy
+    e_dir = 0.5 * (area * float((gx * gx).sum()) + area * float((gy * gy).sum()))
+    e_pot = area * float(mat.potential_F(v).sum())
+    e_curv = 0.5 * heps * (area * float((lap_u * lap_u).sum()))
+    entropy = area * float(mat.entropy_G(v).sum())
+    mob_x = mobility_mean(v, np.roll(v, -1, axis=1))
+    mob_y = mobility_mean(v, np.roll(v, -1, axis=0))
+    px = (np.roll(p, -1, axis=1) - p) / hx
+    py = (np.roll(p, -1, axis=0) - p) / hy
+    fx, fy = mob_x * px, mob_y * py
+    drift = (fx - np.roll(fx, 1, axis=1)) / hx + (fy - np.roll(fy, 1, axis=0)) / hy
+    jx, jy = np.sqrt(mob_x) * px, np.sqrt(mob_y) * py
+    diss = (area * float((jx**2).sum()), area * float((jy**2).sum()))
+    osc = 1.0
+    for dj in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            shifted = np.roll(np.roll(v, dj, axis=0), di, axis=1)
+            osc = max(osc, float((v / shifted).max()))
+    energy = (e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
+    return drift, energy, entropy, diss, osc
+
+
+def roll_reference_noise(u, wx, wy, grid):
+    zx = 0.5 * (u * (np.roll(wx, -1, axis=1) - np.roll(wx, 1, axis=1))
+                + wx * (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1))) / grid.hx
+    zy = 0.5 * (u * (np.roll(wy, -1, axis=0) - np.roll(wy, 1, axis=0))
+                + wy * (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0))) / grid.hy
+    return zx + zy
+
+
+def test_run_records_match_roll_stencils_bit_for_bit():
+    # cells with hx != hy, a Stratonovich-shifted potential, noise, and an
+    # energy threshold crossed mid-run; the trajectory is replayed with the
+    # np.roll reference and every record column must agree exactly
+    grid = Grid(24, 16, 1.5, 0.8)
+    assert grid.hx != grid.hy
+    mat = Material(strat_shift=0.3)
+    model = NoiseModel(PowerLawSchedule(lambda0=1.0), seed=19)
+    u0 = cosine_film(grid, amp=0.05)
+    n_steps = 40
+    base_dt = stable_dt(grid, mat)
+    free = run(u0, RunConfig(t_max=n_steps * base_dt, e_max_C=1e6), mat, model)
+    energies = [r.E_total for r in free.records]
+    k = next(k for k in range(n_steps // 4, n_steps + 1)
+             if energies[k] > max(energies[:k]))
+    assert k <= n_steps - 5, "the threshold must be crossed mid-run"
+    threshold = 0.5 * (max(energies[:k]) + energies[k])
+    cfg = RunConfig(t_max=n_steps * base_dt,
+                    e_max_C=threshold / grid.h ** (-mat.rho / (2.0 + mat.p)))
+    threshold = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
+    res = run(u0, cfg, mat, model)
+
+    ws = NoiseWorkspace.build(model, grid, mat.eps)
+    area = grid.cell_area
+
+    def reference(v, t, stopped):
+        drift, energy, entropy, diss, osc = roll_reference_terms(v, mat, grid)
+        if stopped:
+            diss = (0.0, 0.0)
+        row = (t, area * float(v.sum()), float(v.min()), float(v.max()), *energy,
+               entropy, cfg.alpha + energy[3] + cfg.kappa * entropy, osc, *diss, stopped)
+        assert np.array_equal(scheme.state_terms(v, mat, grid).drift, drift)
+        return row, drift
+
+    v, t = u0.values, 0.0
+    row, drift = reference(v, t, False)
+    assert row[7] < threshold
+    rows = [row]
+    stopped = False
+    for step in range(n_steps):
+        dt = min(base_dt, max(cfg.t_max - t, 0.0))
+        if not stopped:
+            for attempt in range(cfg.max_halvings + 1):
+                wx, wy = ws.coefficient_fields(step, attempt, dt)
+                new = v + dt * drift + roll_reference_noise(v, wx, wy, grid)
+                if np.all(new > cfg.u_floor):
+                    break
+                dt *= 0.5
+            v = new
+        t += dt
+        row, drift = reference(v, t, stopped)
+        if not stopped and row[7] >= threshold:
+            stopped = True
+            row, drift = reference(v, t, stopped)
+        rows.append(row)
+
+    assert [r.row() for r in res.records] == rows
+    assert np.array_equal(res.final.u.values, v)
+    stop = next(i for i, r in enumerate(rows) if r[-1])
+    assert stop == k and res.final.stop_time == rows[k][0]
+    assert all(r[11] == 0.0 and r[12] == 0.0 for r in rows[k:])
+    diss_integral = 0.0
+    for prev, now in zip(rows, rows[1:]):
+        diss_integral += 0.5 * ((prev[11] + prev[12]) + (now[11] + now[12])) * (now[0] - prev[0])
+    assert res.diss_integral == diss_integral
+    assert res.sup_R == max(r[9] for r in rows)
+    assert res.sup_osc == max(r[10] for r in rows[:k])  # frozen states do not count
+
+
+def test_run_evaluates_the_state_kernel_once_per_accepted_state(mat, monkeypatch):
+    calls = []
+    kernel = scheme.state_terms
+
+    def counting_kernel(u, *args):
+        calls.append(u.copy())
+        return kernel(u, *args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluated outside the state kernel inside run")
+
+    monkeypatch.setattr(scheme, "state_terms", counting_kernel)
+    for name in ("pressure_values", "drift_values", "dissipation"):
+        monkeypatch.setattr(scheme, name, forbidden)
+    for name in ("energy_h", "entropy_h", "oscillation_ratio"):
+        monkeypatch.setattr(diagnostics, name, forbidden)
+
+    grid = Grid(16, 16, 1.0, 1.0)
+    model = NoiseModel(PowerLawSchedule(lambda0=0.1), seed=4)
+    res = run(cosine_film(grid), RunConfig(t_max=25 * stable_dt(grid, mat)), mat, model)
+    assert res.final.step == 25 and not res.final.stopped
+    assert len(calls) == 26  # the initial state and each accepted step
+    assert np.array_equal(calls[-1], res.final.u.values)
+
+    # a frozen state is evaluated once; the clock advances without it
+    calls.clear()
+    vals = np.ones((16, 16))
+    vals[7, 7] = 60.0
+    res = run(Field(grid, vals), RunConfig(t_max=20 * stable_dt(grid, mat), e_max_C=1.0),
+              mat, model)
+    assert res.final.stopped and res.final.step == 20
+    assert len(calls) == 1

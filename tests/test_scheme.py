@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import positive_field
-from stfe2d import fem, oracle, scheme
+from stfe2d import diagnostics, fem, oracle, scheme
 from stfe2d.grid import Field, Grid
 from stfe2d.integrator import NoiseWorkspace
-from stfe2d.material import PositivityError
+from stfe2d.material import Material, PositivityError, d2F_mean, mobility_mean
 from stfe2d.noise import NoiseModel, PowerLawSchedule, basis_eval
 
 
@@ -13,37 +13,45 @@ def near_unity_field(rng, grid, amp=0.05):
     return Field(grid, 1.0 + rng.uniform(-amp, amp, (grid.ny, grid.nx)))
 
 
+def edge_means(mean, v):
+    """A mean of the endpoint values on the x-edges and on the y-edges."""
+    return mean(v, np.roll(v, -1, axis=1)), mean(v, np.roll(v, -1, axis=0))
+
+
 # ---------------------------------------------------------------------------
-# mobility edges
+# edge means (material.mobility_mean on the grid's edges)
 # ---------------------------------------------------------------------------
 
 def test_mobility_edges_constant(mat, grid44):
-    mob = scheme.mobility_edges(Field.constant(grid44, 1.7), mat)
-    assert np.allclose(mob.x_edges, 1.7**2, rtol=1e-15)
-    assert np.allclose(mob.y_edges, 1.7**2, rtol=1e-15)
+    mob_x, mob_y = edge_means(mobility_mean, Field.constant(grid44, 1.7).values)
+    assert np.allclose(mob_x, 1.7**2, rtol=1e-15)
+    assert np.allclose(mob_y, 1.7**2, rtol=1e-15)
 
 
 def test_mobility_single_edge_value(mat, grid44):
     v = np.ones((4, 4))
     v[2, 1] = 2.0  # edge between nodes (1,2) and (2,2) spans values 1, 2
-    mob = scheme.mobility_edges(Field(grid44, v), mat)
-    assert mob.x_edges[2, 1] == pytest.approx(2.0, rel=1e-15)
+    mob_x, _ = edge_means(mobility_mean, v)
+    assert mob_x[2, 1] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_mobility_edges_within_square_bounds(mat, rng, grid65):
     u = positive_field(rng, grid65)
-    mob = scheme.mobility_edges(u, mat)
     v = u.values
+    mob_x, _ = edge_means(mobility_mean, v)
     lo = np.minimum(v, np.roll(v, -1, axis=1)) ** 2
     hi = np.maximum(v, np.roll(v, -1, axis=1)) ** 2
-    assert np.all(mob.x_edges >= lo - 1e-12) and np.all(mob.x_edges <= hi + 1e-12)
+    assert np.all(mob_x >= lo - 1e-12) and np.all(mob_x <= hi + 1e-12)
+    assert np.array_equal(mob_x, mobility_mean(np.roll(v, -1, axis=1), v))  # symmetric
 
 
 def test_mobility_rejects_nonpositive(mat, grid44):
     v = np.ones((4, 4))
     v[0, 0] = 0.0
     with pytest.raises(PositivityError):
-        scheme.mobility_edges(Field(grid44, v), mat)
+        edge_means(mobility_mean, v)
+    with pytest.raises(PositivityError):
+        scheme.state_terms(v, mat, grid44)
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +84,8 @@ def test_pressure_weak_form_against_dense(mat, rng):
 # ---------------------------------------------------------------------------
 
 def test_drift_vanishes_for_constant(mat, grid65):
-    L = scheme.drift(Field.constant(grid65, 0.9), mat)
-    assert np.all(L.values == 0.0)
+    L = scheme.drift_values(Field.constant(grid65, 0.9).values, mat, grid65)
+    assert np.all(L == 0.0)
 
 
 def test_drift_weak_form_against_dense(mat, rng):
@@ -99,7 +107,7 @@ def test_drift_conserves_mass(mat, rng, grid65):
 
 def test_drift_stopped_is_zero(mat, rng, grid65):
     u = positive_field(rng, grid65)
-    assert np.all(scheme.drift(u, mat, stopped=True).values == 0.0)
+    assert np.all(scheme.drift_values(u.values, mat, grid65, stopped=True) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +165,9 @@ def test_diffusion_is_linear_in_coefficient_field(rng, grid65):
 # ---------------------------------------------------------------------------
 
 def test_fluxes_vanish_for_constant(mat, grid65):
-    jx, jy = scheme.fluxes(Field.constant(grid65, 1.1), mat)
-    assert np.all(jx == 0.0) and np.all(jy == 0.0)
+    terms = scheme.state_terms(Field.constant(grid65, 1.1).values, mat, grid65)
+    assert terms.diss_x == 0.0 and terms.diss_y == 0.0
+    assert np.all(terms.drift == 0.0)
 
 
 def test_dissipation_nonnegative_and_consistent(mat, rng, grid65):
@@ -167,20 +176,33 @@ def test_dissipation_nonnegative_and_consistent(mat, rng, grid65):
     assert dx >= 0.0 and dy >= 0.0
     # cross-module consistency: sum of squared fluxes equals the weighted form
     p = scheme.pressure_values(u.values, mat, grid65)
-    mob = scheme.mobility_edges(u, mat)
-    form_x = fem.dirichlet_x(p, p, grid65, mob.x_edges)
-    form_y = fem.dirichlet_y(p, p, grid65, mob.y_edges)
+    mob_x, mob_y = edge_means(mobility_mean, u.values)
+    form_x = fem.dirichlet_x(p, p, grid65, mob_x)
+    form_y = fem.dirichlet_y(p, p, grid65, mob_y)
     assert dx == pytest.approx(form_x, rel=1e-12)
     assert dy == pytest.approx(form_y, rel=1e-12)
+
+
+@pytest.mark.parametrize("strat_shift", [0.0, 0.3])
+def test_state_kernel_equals_the_separate_views(rng, strat_shift):
+    mat = Material(strat_shift=strat_shift)
+    grid = Grid(24, 16, 1.5, 0.8)  # hx != hy
+    u = positive_field(rng, grid)
+    terms = scheme.state_terms(u.values, mat, grid)
+    assert np.array_equal(terms.drift, scheme.drift_values(u.values, mat, grid))
+    assert terms.energy == diagnostics.energy_h(u, mat)
+    assert terms.entropy == diagnostics.entropy_h(u, mat)
+    assert (terms.diss_x, terms.diss_y) == scheme.dissipation(u, mat)
+    assert terms.osc == diagnostics.oscillation_ratio(u)
 
 
 def test_stopped_zeroes_everything(mat, rng, grid65):
     u = positive_field(rng, grid65)
     assert np.all(scheme.compute_pressure(u, mat, stopped=True).values == 0.0)
-    assert np.all(scheme.drift(u, mat, stopped=True).values == 0.0)
-    jx, jy = scheme.fluxes(u, mat, stopped=True)
-    assert np.all(jx == 0.0) and np.all(jy == 0.0)
+    assert np.all(scheme.drift_values(u.values, mat, grid65, stopped=True) == 0.0)
     assert scheme.dissipation(u, mat, stopped=True) == (0.0, 0.0)
+    rec = diagnostics.make_record(u, mat, t=0.0, stopped=True)
+    assert rec.diss_x == 0.0 and rec.diss_y == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +229,10 @@ def test_entropy_production_identity(mat, rng, grid65):
         lhs = fem.inner_h(mat.dG(u.values), L, grid65)
         lap_u = fem.lap(u.values, grid65)
         heps = scheme.mesh_weight(grid65, mat.eps)
-        d2f = scheme.d2F_edges(u, mat)
+        d2f_x, d2f_y = edge_means(lambda a, b: d2F_mean(mat, a, b), u.values)
         rhs = (-fem.inner_h(lap_u, lap_u, grid65)
-               - fem.dirichlet_x(u.values, u.values, grid65, d2f.x_edges)
-               - fem.dirichlet_y(u.values, u.values, grid65, d2f.y_edges)
+               - fem.dirichlet_x(u.values, u.values, grid65, d2f_x)
+               - fem.dirichlet_y(u.values, u.values, grid65, d2f_y)
                - heps * (fem.dirichlet_x(lap_u, lap_u, grid65)
                          + fem.dirichlet_y(lap_u, lap_u, grid65)))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
