@@ -3,14 +3,8 @@
 
 import argparse
 
+from stfe2d.cli import _CONVERGE_LEVELS as LEVELS
 from stfe2d.harness import refinement_study
-
-LEVELS = {
-    "interp": (8, 16, 32, 64, 128),
-    "laplacian_eig": (8, 16, 32, 64),
-    "ritz": (8, 16, 32, 64),
-    "noise_b3star": (8, 16, 32, 64, 128),
-}
 
 
 def main():

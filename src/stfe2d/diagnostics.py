@@ -14,7 +14,7 @@ from .scheme import EnergyParts
 def energy_h(u: Field, mat: Material) -> EnergyParts:
     """Regularized discrete energy: gradient + potential + h^eps curvature."""
     v, grid = u.values, u.grid
-    return scheme.energy_parts(v, fem.shift(v, -1, 1), fem.shift(v, -1, 0),
+    return scheme.energy_parts(v, fem.shift(v, -1, -1), fem.shift(v, -1, -2),
                                fem.lap(v, grid), mat, grid)
 
 
@@ -38,7 +38,7 @@ def oscillation_ratio(u: Field) -> float:
     """Max of u(center)/u(neighbor) over all 3x3 periodic neighborhoods."""
     v = u.values
     scheme.check_positive(v)
-    return scheme.oscillation(v, fem.shift(v, -1, 1), fem.shift(v, 1, 1))
+    return scheme.oscillation(v, fem.shift(v, -1, -1), fem.shift(v, 1, -1))
 
 
 def mass(u: Field) -> float:

@@ -30,12 +30,16 @@ class SolverError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
-    """``np.roll(values, offset, axis)`` by two slices, without np.roll's
-    per-call overhead: shift(v, -1, 1)[j, i] = v[j, i+1] (periodic)."""
+    """``np.roll(values, offset, axis)`` along a grid axis by two slices,
+    without np.roll's per-call overhead: shift(v, -1, -1)[..., j, i] =
+    v[..., j, i+1] (periodic).  ``axis`` is -1 (x) or -2 (y), or 1 and 0 of
+    a single field; leading (replica) axes ride along."""
+    if axis >= 0:
+        axis -= values.ndim
     k = -offset % values.shape[axis]
-    if axis == 0:
-        return np.concatenate((values[k:], values[:k]), axis=0)
-    return np.concatenate((values[:, k:], values[:, :k]), axis=1)
+    if axis == -1:
+        return np.concatenate((values[..., k:], values[..., :k]), axis=-1)
+    return np.concatenate((values[..., k:, :], values[..., :k, :]), axis=-2)
 
 
 def second_difference(ahead: np.ndarray, centre: np.ndarray, behind: np.ndarray,
@@ -51,19 +55,19 @@ def second_difference(ahead: np.ndarray, centre: np.ndarray, behind: np.ndarray,
 
 def dqx_plus(values: np.ndarray, grid: Grid) -> np.ndarray:
     """(f[i+1,j] - f[i,j]) / hx with periodic wrap; lives on x-edge (i+1/2, j)."""
-    return (shift(values, -1, 1) - values) / grid.hx
+    return (shift(values, -1, -1) - values) / grid.hx
 
 
 def dqx_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (values - shift(values, 1, 1)) / grid.hx
+    return (values - shift(values, 1, -1)) / grid.hx
 
 
 def dqy_plus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (shift(values, -1, 0) - values) / grid.hy
+    return (shift(values, -1, -2) - values) / grid.hy
 
 
 def dqy_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (values - shift(values, 1, 0)) / grid.hy
+    return (values - shift(values, 1, -2)) / grid.hy
 
 
 def dq_x_plus(f: Field, i: int, j: int) -> float:
@@ -93,11 +97,11 @@ def dq_y_minus(f: Field, i: int, j: int) -> float:
 
 def lap_x(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Periodic 3-point stencil in x; equals dqx_plus(dqx_minus(.))."""
-    return second_difference(shift(values, -1, 1), values, shift(values, 1, 1), grid.hx)
+    return second_difference(shift(values, -1, -1), values, shift(values, 1, -1), grid.hx)
 
 
 def lap_y(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return second_difference(shift(values, -1, 0), values, shift(values, 1, 0), grid.hy)
+    return second_difference(shift(values, -1, -2), values, shift(values, 1, -2), grid.hy)
 
 
 def lap(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -130,17 +134,34 @@ def disc_bilap(f: Field) -> Field:
 # lumped integrals and inner products
 # ---------------------------------------------------------------------------
 
-def lumped_integral(values: np.ndarray, grid: Grid) -> float:
+def _per_field(totals: np.ndarray):
+    return float(totals) if totals.ndim == 0 else totals
+
+
+def node_sum(values: np.ndarray):
+    """Sum over the two grid axes: a float for one field, an array over the
+    leading (replica) axes for a stack of fields.  Each field is summed as
+    one contiguous run, so a stacked field's sum equals its own ``.sum()``
+    bit for bit."""
+    return _per_field(values.reshape(*values.shape[:-2], -1).sum(-1))
+
+
+def node_max(values: np.ndarray):
+    """Maximum over the two grid axes, shaped like ``node_sum``."""
+    return _per_field(values.reshape(*values.shape[:-2], -1).max(-1))
+
+
+def lumped_integral(values: np.ndarray, grid: Grid):
     """hx*hy * sum of nodal values; exact integral of the nodal interpolant."""
-    return grid.cell_area * float(values.sum())
+    return grid.cell_area * node_sum(values)
 
 
 def lumped_integral_xy(f: Field) -> float:
     return lumped_integral(f.values, f.grid)
 
 
-def inner_h(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    return grid.cell_area * float((a * b).sum())
+def inner_h(a: np.ndarray, b: np.ndarray, grid: Grid):
+    return grid.cell_area * node_sum(a * b)
 
 
 def norm_h(a: np.ndarray, grid: Grid) -> float:
@@ -153,11 +174,11 @@ def norm_h(a: np.ndarray, grid: Grid) -> float:
 
 def nodal_to_edge_x(a: np.ndarray) -> np.ndarray:
     """Arithmetic edge average of a nodal coefficient: value at (i+1/2, j)."""
-    return 0.5 * (a + shift(a, -1, 1))
+    return 0.5 * (a + shift(a, -1, -1))
 
 
 def nodal_to_edge_y(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + shift(a, -1, 0))
+    return 0.5 * (a + shift(a, -1, -2))
 
 
 def dirichlet_x(f: np.ndarray, g: np.ndarray, grid: Grid,
@@ -229,16 +250,16 @@ def stiffness_apply(values: np.ndarray, grid: Grid) -> np.ndarray:
     hx, hy = grid.hx, grid.hy
 
     def kx(v):
-        return (2.0 * v - shift(v, -1, 1) - shift(v, 1, 1)) / hx
+        return (2.0 * v - shift(v, -1, -1) - shift(v, 1, -1)) / hx
 
     def ky(v):
-        return (2.0 * v - shift(v, -1, 0) - shift(v, 1, 0)) / hy
+        return (2.0 * v - shift(v, -1, -2) - shift(v, 1, -2)) / hy
 
     def mx(v):
-        return hx / 6.0 * (shift(v, -1, 1) + 4.0 * v + shift(v, 1, 1))
+        return hx / 6.0 * (shift(v, -1, -1) + 4.0 * v + shift(v, 1, -1))
 
     def my(v):
-        return hy / 6.0 * (shift(v, -1, 0) + 4.0 * v + shift(v, 1, 0))
+        return hy / 6.0 * (shift(v, -1, -2) + 4.0 * v + shift(v, 1, -2))
 
     return my(kx(values)) + mx(ky(values))
 

@@ -3,13 +3,19 @@
 The ensemble driver runs replicas with seeds seed + replica_index and
 reports sample statistics of the pathwise monitored quantities (running
 supremum of the combined energy-entropy functional, time-integrated
-dissipation, stopped fraction, worst mass drift).  Aborted replicas are
-recorded, not fatal; any other exception raised by a replica's run is
-recorded too, prefixed by its type name.  Replicas may run in worker
-processes, capped by the STFE2D_THREADS environment variable (default: CPU
-count; a non-integer value is an error); summaries are
-reduced in replica order, so they are deterministic functions of
-(config, n_replicas).
+dissipation, stopped fraction, worst mass drift).  Replicas run batched:
+the index range is cut into contiguous chunks of ceil(n_replicas / workers)
+replicas, at most 2**18 // (nx * ny) of them (2 MiB per stacked field),
+and each chunk is stepped as one (R, ny, nx) array by
+``integrator.run_replicas``, whose replicas equal their lone runs bit for
+bit.  Chunks run in worker processes, capped by the STFE2D_THREADS
+environment variable (default: CPU count; a non-integer value is an
+error), or in-process with one worker.  Aborted replicas are recorded, not
+fatal; if a chunk fails in any other way, its replicas are rerun one at a
+time through ``integrator.run``, so such an exception is recorded with the
+replica that raised it, prefixed by its type name.  Summaries are reduced
+in replica order, so they are deterministic functions of (config,
+n_replicas).
 
 Refinement studies compute errors across a mesh sequence and fit log-log
 slopes: nodal-product interpolation errors (values ~ h^2, x-derivatives
@@ -29,7 +35,7 @@ import numpy as np
 from . import fem
 from .config import Config, assemble
 from .grid import Field, Grid
-from .integrator import SimulationAbort, run
+from .integrator import SimulationAbort, run, run_replicas
 from .noise import NoiseModel, PowerLawSchedule, b3star_monitor
 
 
@@ -85,20 +91,50 @@ class EnsembleSummary:
                 self.stopped_fraction, self.mass_drift_max)
 
 
-def _run_replica(cfg: Config, replica: int) -> ReplicaOutcome:
-    bundle = assemble(cfg)
-    seed = (bundle.noise.seed + replica) % 2**64
-    model = bundle.noise.with_seed(seed)
-    try:
-        result = run(bundle.initial, bundle.run, bundle.material, model)
-    except Exception as exc:
-        # one failing replica must not take the ensemble down with it
-        error = str(exc) if isinstance(exc, SimulationAbort) else f"{type(exc).__name__}: {exc}"
+def _outcome(replica: int, seed: int, result) -> ReplicaOutcome:
+    """The outcome of a replica's RunResult, or of the exception that ended it."""
+    if isinstance(result, Exception):
+        error = (str(result) if isinstance(result, SimulationAbort)
+                 else f"{type(result).__name__}: {result}")
         return ReplicaOutcome(replica, seed, float("nan"), float("nan"),
                               False, None, float("nan"), -1, error=error)
     st = result.final
     return ReplicaOutcome(replica, seed, result.sup_R, result.diss_integral,
                           st.stopped, st.stop_time, result.max_mass_drift, st.step)
+
+
+def _run_replica(cfg: Config, replica: int) -> ReplicaOutcome:
+    """One replica alone through ``integrator.run``: the reference path."""
+    bundle = assemble(cfg)
+    seed = (bundle.noise.seed + replica) % 2**64
+    try:
+        result = run(bundle.initial, bundle.run, bundle.material,
+                     bundle.noise.with_seed(seed))
+    except Exception as exc:
+        # one failing replica must not take the ensemble down with it
+        result = exc
+    return _outcome(replica, seed, result)
+
+
+def _run_chunk(cfg: Config, first: int, stop: int) -> list[ReplicaOutcome]:
+    """Replicas first..stop-1 stepped together as one stack."""
+    bundle = assemble(cfg)
+    replicas = range(first, stop)
+    seeds = [(bundle.noise.seed + r) % 2**64 for r in replicas]
+    try:
+        results = run_replicas(bundle.initial, bundle.run, bundle.material,
+                               bundle.noise, seeds)
+    except Exception:
+        # not one replica's abort: rerun them one by one, so that the error
+        # is recorded with the replica that raised it
+        return [_run_replica(cfg, r) for r in replicas]
+    return [_outcome(r, seed, res) for r, seed, res in zip(replicas, seeds, results)]
+
+
+def chunk_size(n_replicas: int, workers: int, n_nodes: int) -> int:
+    """Replicas per chunk: an even split over the workers, with each stacked
+    field array capped at 2**18 float64 values (2 MiB)."""
+    return min(-(-n_replicas // workers), max(1, 2**18 // n_nodes))
 
 
 def write_summary_csv(summary: EnsembleSummary, path) -> None:
@@ -113,12 +149,15 @@ def mc_ensemble(cfg: Config, n_replicas: int, max_workers: int | None = None,
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     workers = min(worker_cap() if max_workers is None else max_workers, n_replicas)
+    size = chunk_size(n_replicas, workers, assemble(cfg).grid.n_nodes)
+    firsts = range(0, n_replicas, size)
+    stops = [min(first + size, n_replicas) for first in firsts]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_replica, [cfg] * n_replicas,
-                                     range(n_replicas)))
+        with ProcessPoolExecutor(max_workers=min(workers, len(firsts))) as pool:
+            chunks = list(pool.map(_run_chunk, [cfg] * len(firsts), firsts, stops))
     else:
-        outcomes = [_run_replica(cfg, r) for r in range(n_replicas)]
+        chunks = [_run_chunk(cfg, first, stop) for first, stop in zip(firsts, stops)]
+    outcomes = [o for chunk in chunks for o in chunk]
 
     ok = [o for o in outcomes if o.error is None]
     aborted = len(outcomes) - len(ok)

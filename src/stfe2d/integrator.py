@@ -11,6 +11,13 @@ After an accepted step the regularized energy is compared against the
 threshold C * h^(-rho/(2+p)); once reached, the state freezes (pressure,
 drift, diffusion, and fluxes are all zeroed) and only the clock advances.
 
+``em_step`` is the one step implementation.  It advances a stack of
+replicas of one configuration (fields of shape (R, ny, nx), one noise seed
+each) with per-replica step sizes, halvings and stops; ``step_em`` is its
+batch-of-one case and ``run_replicas`` integrates a whole stack.  Each
+replica's draws are a pure function of (seed, component, k, l, step,
+attempt), so a replica in a stack reproduces its lone run bit for bit.
+
 The base step defaults to a tenth of the explicit stability bound of the
 linearized fourth-order terms (mobility part plus h^eps curvature part);
 see ``stable_dt``.
@@ -18,12 +25,13 @@ see ``stable_dt``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import diagnostics, noise, scheme
+from . import diagnostics, fem, noise, scheme
 from .grid import Field, Grid
 from .material import Material
 from .noise import NoiseModel
@@ -135,105 +143,173 @@ class NoiseWorkspace:
     therefore gy^T C^T gx with the (2r+1, 2r+1) coefficient matrix
     C[k+r, l+r] = c_kl, so only the 1D tables gx[k+r, i] = g_k(x_i) and
     gy[l+r, j] = g_l(y_j) are stored: O(r n) memory.
+
+    ``keys[..., c, m]`` is the stream key of component c (0 = x, 1 = y) of
+    mode m: shape (2, M) for one seed, (R, 2, M) for a stack of replicas
+    with one seed each, whose fields then carry the replica axis first.
     """
 
     modes: tuple
     gx: np.ndarray
     gy: np.ndarray
-    lam_x: np.ndarray
-    lam_y: np.ndarray
-    keys_x: np.ndarray
-    keys_y: np.ndarray
+    lam: np.ndarray        # (2, M): lambda_x and lambda_y of each mode
+    keys: np.ndarray
 
     @classmethod
-    def build(cls, model: NoiseModel, grid: Grid, eps: float) -> "NoiseWorkspace":
+    def build(cls, model: NoiseModel, grid: Grid, eps: float,
+              seeds=None) -> "NoiseWorkspace":
+        """Workspace of ``model``, or of one replica of it per entry of
+        ``seeds`` (a sequence of seeds)."""
         r = noise.truncation_radius(model, grid.h, eps)
         modes = tuple(noise.truncation_set(model, grid.h, eps))
-        lam_x, lam_y = model.lambda_arrays(modes)
         x = grid.hx * np.arange(grid.nx)
         y = grid.hy * np.arange(grid.ny)
+
+        def keys(seed):
+            return np.stack([noise.mode_keys(seed, c, modes) for c in (0, 1)])
+
         return cls(
             modes=modes,
             gx=np.array([noise.basis_1d(k, x, grid.Lx) for k in range(-r, r + 1)]),
             gy=np.array([noise.basis_1d(l, y, grid.Ly) for l in range(-r, r + 1)]),
-            lam_x=lam_x,
-            lam_y=lam_y,
-            keys_x=noise.mode_keys(model.seed, 0, modes),
-            keys_y=noise.mode_keys(model.seed, 1, modes),
+            lam=np.stack(model.lambda_arrays(modes)),
+            keys=keys(model.seed) if seeds is None else np.stack([keys(s) for s in seeds]),
         )
 
     @property
     def active(self) -> bool:
-        return bool(np.any(self.lam_x > 0) or np.any(self.lam_y > 0))
+        return bool(np.any(self.lam > 0))
 
-    def coefficient_fields(self, step: int, attempt: int, dt: float):
-        """Accumulated noise fields (w_x, w_y) for one step attempt."""
-        if not (dt > 0.0):
+    def coefficient_fields(self, step: int, attempt: int, dt):
+        """Accumulated noise fields (w_x, w_y) for one step attempt; for a
+        stack, dt holds each replica's step, shape (R,), and the fields have
+        shape (R, ny, nx).  One draw covers both components and all replicas."""
+        dt = np.asarray(dt)
+        if not (dt > 0.0).all():
             raise ValueError("dt must be positive")
-        ctr = noise.step_counter(step, attempt)
-        sd = np.sqrt(dt)
+        z = noise.standard_normals(self.keys, noise.step_counter(step, attempt))
+        c = self.lam * (np.sqrt(dt)[..., None, None] * z)
         side = len(self.gx)
-        cx = self.lam_x * (sd * noise.standard_normals(self.keys_x, ctr))
-        cy = self.lam_y * (sd * noise.standard_normals(self.keys_y, ctr))
-        wx = self.gy.T @ (cx.reshape(side, side).T @ self.gx)
-        wy = self.gy.T @ (cy.reshape(side, side).T @ self.gx)
-        return wx, wy
+        c = c.reshape(*c.shape[:-1], side, side).swapaxes(-1, -2)
+        w = self.gy.T @ (c @ self.gx)
+        return w[..., 0, :, :], w[..., 1, :, :]
 
 
-def time_slack(step: int, t: float, base_dt: float) -> float:
+def time_slack(step, t, base_dt: float):
     """Rounding slack of a clock that reached t by summing ``step`` positive
     increments: its error stays below step * eps * t, and the slack never
-    reaches a step length (capped at 1e-3 of the base step)."""
-    return min(step * np.finfo(float).eps * t, 1e-3 * base_dt)
+    reaches a step length (capped at 1e-3 of the base step).  Elementwise
+    over arrays of steps and clocks."""
+    return np.minimum(step * np.finfo(float).eps * t, 1e-3 * base_dt)
+
+
+class Replicas(NamedTuple):
+    """States of replicas of one configuration that step together.
+
+    ``u`` holds the nodal values, shape (*lead, ny, nx); the clocks ``t``,
+    the flags ``stopped`` and the ``stop_time`` (nan while running) have
+    shape ``lead``; ``terms`` are ``scheme.state_terms(u)`` for the stepping
+    material (None: computed when needed).  lead = () is one trajectory.
+    """
+
+    u: np.ndarray
+    t: np.ndarray
+    stopped: np.ndarray
+    stop_time: np.ndarray
+    terms: scheme.StateTerms | None
+
+
+def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
+            ws: NoiseWorkspace, grid: Grid) -> tuple[Replicas, dict]:
+    """One Euler-Maruyama step of the ``live`` replicas (a mask of shape
+    lead), all at accepted-step index ``step``.
+
+    A frozen replica only advances its clock by the full step.  The others
+    freeze if their energy already reaches the threshold; otherwise they try
+    the full step and, while the update is not finite and above the floor,
+    halve it and redraw at attempt + 1.  Replicas that are not live, and
+    those that abort, keep their state.  Returns the new states and the
+    aborts, {replica index: OverflowAbort | PositivityAbort}.
+    """
+    base = cfg.base_dt(grid, mat)
+    dt_full = np.minimum(base, cfg.t_max - reps.t)
+    dt_full = np.where(dt_full > 0.0, dt_full, base)  # past the horizon: a full step
+    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
+
+    terms, stopped, stop_time = reps.terms, reps.stopped, reps.stop_time
+    pending = live & ~stopped
+    if pending.any():
+        if terms is None:
+            terms = scheme.state_terms(reps.u, mat, grid)
+        freeze = pending & (terms.energy.total >= e_max)
+        if freeze.any():
+            pending = pending & ~freeze
+            stopped = stopped | freeze
+            stop_time = np.where(freeze, reps.t, stop_time)
+    t = np.where(live & stopped, reps.t + dt_full, reps.t)
+
+    u = u_new = reps.u
+    moved = False
+    aborts = {}
+    dt_try = dt_full
+    for attempt in range(cfg.max_halvings + 1):
+        if not pending.any():
+            break
+        if attempt:
+            dt_try = dt_try * 0.5
+        cand = u + dt_try[..., None, None] * terms.drift
+        if ws.active:
+            cand = cand + scheme.diffusion_values(
+                u, grid, *ws.coefficient_fields(step, attempt, dt_try),
+                du_x=terms.du_x, du_y=terms.du_y)
+        finite = np.isfinite(cand).all(axis=(-2, -1))
+        if not finite.all():
+            for idx in map(tuple, np.argwhere(pending & ~finite)):
+                aborts[idx] = OverflowAbort(step)
+        accept = pending & finite & (cand > cfg.u_floor).all(axis=(-2, -1))
+        if accept.all():
+            u_new, t = cand, reps.t + dt_try
+        else:
+            u_new = np.where(accept[..., None, None], cand, u_new)
+            t = np.where(accept, reps.t + dt_try, t)
+        moved = moved | accept
+        pending = pending & finite & ~accept
+    else:
+        for idx in map(tuple, np.argwhere(pending)):  # halvings exhausted
+            flat = int(np.argmin(cand[idx]))
+            j, i = divmod(flat, grid.nx)
+            aborts[idx] = PositivityAbort(step, (i, j), float(cand[idx].ravel()[flat]),
+                                          float(dt_try[idx]))
+
+    if np.asarray(moved).any():
+        terms = scheme.state_terms(u_new, mat, grid)
+        freeze = moved & (terms.energy.total >= e_max)
+        if freeze.any():
+            stopped = stopped | freeze
+            stop_time = np.where(freeze, t, stop_time)
+    return Replicas(u_new, t, stopped, stop_time, terms), aborts
 
 
 def step_em(state: SimState, cfg: RunConfig, mat: Material,
             ws: NoiseWorkspace) -> SimState:
-    """One Euler-Maruyama step (or a frozen clock advance once stopped).
+    """One Euler-Maruyama step (or a frozen clock advance once stopped): the
+    batch-of-one case of ``em_step``.
 
     Drift and threshold test come from ``state.terms`` (computed here if
     absent); the returned state carries the terms of its own field.
     """
     grid = state.u.grid
-    dt_full = min(cfg.base_dt(grid, mat), max(cfg.t_max - state.t, 0.0))
-    if dt_full <= 0.0:
-        dt_full = cfg.base_dt(grid, mat)
-
-    if state.stopped:
-        return replace(state, t=state.t + dt_full, step=state.step + 1)
-
-    terms = state.terms
-    if terms is None:
-        terms = scheme.state_terms(state.u.values, mat, grid)
-    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
-    if terms.energy.total >= e_max:
-        return replace(state, t=state.t + dt_full, step=state.step + 1,
-                       stopped=True, stop_time=state.t, terms=terms)
-
-    u = state.u.values
-    dt_try = dt_full
-    for attempt in range(cfg.max_halvings + 1):
-        u_new = u + dt_try * terms.drift
-        if ws.active:
-            u_new = u_new + scheme.diffusion_values(
-                u, grid, *ws.coefficient_fields(state.step, attempt, dt_try))
-        if not np.all(np.isfinite(u_new)):
-            raise OverflowAbort(state.step)
-        if np.all(u_new > cfg.u_floor):
-            break
-        dt_try *= 0.5
-    else:
-        flat = int(np.argmin(u_new))
-        j, i = divmod(flat, grid.nx)
-        raise PositivityAbort(state.step, (i, j), float(u_new.ravel()[flat]), dt_try * 2.0)
-
-    new_field = Field(grid, u_new)
-    del u_new
-    new_t = state.t + dt_try
-    new_terms = scheme.state_terms(new_field.values, mat, grid)
-    stopped = new_terms.energy.total >= e_max
-    return replace(state, u=new_field, t=new_t, step=state.step + 1, terms=new_terms,
-                   stopped=stopped, stop_time=new_t if stopped else None)
+    stop_time = np.nan if state.stop_time is None else state.stop_time
+    start = Replicas(state.u.values, np.float64(state.t), np.bool_(state.stopped),
+                     np.float64(stop_time), state.terms)
+    new, aborts = em_step(start, state.step, np.True_, cfg, mat, ws, grid)
+    if aborts:
+        raise aborts[()]
+    stop_time = float(new.stop_time)
+    return replace(state, u=state.u if new.u is start.u else Field(grid, new.u),
+                   t=float(new.t), step=state.step + 1, stopped=bool(new.stopped),
+                   stop_time=None if math.isnan(stop_time) else stop_time,
+                   terms=new.terms)
 
 
 @dataclass
@@ -316,3 +392,72 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
     return RunResult(final=state, records=records, snapshots=snapshots,
                      diss_integral=diss_integral, sup_R=sup_R, sup_osc=sup_osc,
                      max_mass_drift=max_drift)
+
+
+def run_replicas(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
+                 seeds) -> list:
+    """Integrate one replica of ``model`` per seed from u0 to t_max, stepped
+    together through ``em_step``.
+
+    Entry r is what ``run(u0, cfg, mat, model.with_seed(seeds[r]))`` returns,
+    bit for bit, with no records or snapshots, or the SimulationAbort it
+    raises.  Replicas that reach the horizon or abort drop out of the step.
+    """
+    grid = u0.grid
+    ws = NoiseWorkspace.build(model, grid, mat.eps, seeds)
+    mass0 = SimState.initial(u0).initial_mass
+    u = np.repeat(u0.values[None], len(seeds), axis=0)
+    terms = scheme.state_terms(u, mat, grid)
+    stopped = terms.energy.total >= diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
+    reps = Replicas(u, np.zeros(len(seeds)), stopped, np.where(stopped, 0.0, np.nan), terms)
+    base_dt = cfg.base_dt(grid, mat)
+    steps = np.zeros(len(seeds), dtype=int)
+
+    def reached(t):
+        return t >= cfg.t_max - time_slack(steps, t, base_dt)
+
+    # the running monitors of ``run``, one entry per replica
+    sup_R = cfg.alpha + terms.energy.total + cfg.kappa * terms.entropy
+    sup_osc = terms.osc
+    diss_prev = np.where(stopped, 0.0, terms.diss_x + terms.diss_y)
+    diss_integral = np.zeros(len(seeds))
+    max_drift = np.zeros(len(seeds))
+    aborts = {}
+    live = ~reached(reps.t)
+    step = 0
+    while live.any():
+        prev_t = reps.t
+        reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid)
+        aborts.update(new_aborts)
+        for idx in new_aborts:
+            live[idx] = False
+        step += 1
+        steps = np.where(live, step, steps)
+        terms = reps.terms
+        R = cfg.alpha + terms.energy.total + cfg.kappa * terms.entropy
+        diss_now = np.where(reps.stopped, 0.0, terms.diss_x + terms.diss_y)
+        diss_integral = np.where(
+            live, diss_integral + 0.5 * (diss_prev + diss_now) * (reps.t - prev_t),
+            diss_integral)
+        diss_prev = diss_now
+        sup_R = np.where(live, np.maximum(sup_R, R), sup_R)
+        sup_osc = np.where(live & ~reps.stopped, np.maximum(sup_osc, terms.osc), sup_osc)
+        drift = np.abs(fem.lumped_integral(reps.u, grid) - mass0) / abs(mass0)
+        max_drift = np.where(live, np.maximum(max_drift, drift), max_drift)
+        live &= ~reached(reps.t)
+
+    results = []
+    for r in range(len(seeds)):
+        if (r,) in aborts:
+            results.append(aborts[(r,)])
+            continue
+        stop_time = float(reps.stop_time[r])
+        final = SimState(u=Field(grid, reps.u[r]), t=float(reps.t[r]), step=int(steps[r]),
+                         stopped=bool(reps.stopped[r]),
+                         stop_time=None if np.isnan(stop_time) else stop_time,
+                         initial_mass=mass0)
+        results.append(RunResult(final=final, records=[], snapshots=[],
+                                 diss_integral=float(diss_integral[r]),
+                                 sup_R=float(sup_R[r]), sup_osc=float(sup_osc[r]),
+                                 max_mass_drift=float(max_drift[r])))
+    return results

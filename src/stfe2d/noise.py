@@ -196,11 +196,11 @@ def basis_eval(k: int, l: int, grid: Grid) -> Field:
 # ---------------------------------------------------------------------------
 
 def _mix64(x):
-    # modular 64-bit wraparound is the intended mixing semantics
-    with np.errstate(over="ignore"):
-        x = (x ^ (x >> U64(30))) * U64(0xBF58476D1CE4E5B9)
-        x = (x ^ (x >> U64(27))) * U64(0x94D049BB133111EB)
-        return x ^ (x >> U64(31))
+    # modular 64-bit wraparound is the intended mixing semantics: callers
+    # wrap the calls in np.errstate(over="ignore") (numpy scalars warn)
+    x = (x ^ (x >> U64(30))) * U64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> U64(27))) * U64(0x94D049BB133111EB)
+    return x ^ (x >> U64(31))
 
 
 def mode_keys(seed: int, component: int, modes: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -216,7 +216,10 @@ def mode_keys(seed: int, component: int, modes: Sequence[tuple[int, int]]) -> np
 
 
 def standard_normals(keys: np.ndarray, counters) -> np.ndarray:
-    """One N(0,1) draw per (key, counter) pair via Box-Muller; broadcasts."""
+    """One N(0,1) draw per (key, counter) pair via Box-Muller; broadcasts.
+
+    The counter is mixed once per call, so one call over all the keys of a
+    step attempt (both components, every replica) mixes it once."""
     keys = np.asarray(keys, dtype=np.uint64)
     c = np.asarray(counters, dtype=np.uint64)
     with np.errstate(over="ignore"):

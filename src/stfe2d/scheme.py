@@ -28,6 +28,12 @@ noise fields w_x, w_y at once, and its nodal sum also telescopes to zero.
 accepted state: drift, energy parts, entropy, dissipation and oscillation
 ratio from one set of periodic neighbor arrays.  ``drift_values``,
 ``dissipation`` and ``diagnostics.energy_h`` share its helpers.
+
+The kernel and the noise operator take one field of shape (ny, nx) or a
+stack of replica fields of shape (R, ny, nx): shifts act on the two grid
+axes and every nodal sum reduces over them alone, so a functional comes
+back as a float for one field and as an array of shape (R,) for a stack,
+each entry equal bit for bit to the value of its field alone.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ class EnergyParts(NamedTuple):
 
 
 class StateTerms(NamedTuple):
-    """What the integrator and the diagnostics record need of one state."""
+    """What the integrator and the diagnostics record need of one state
+    (floats for one field, arrays over the replicas for a stack)."""
 
     drift: np.ndarray
     energy: EnergyParts
@@ -73,6 +80,8 @@ class StateTerms(NamedTuple):
     diss_x: float          # mobility-weighted squared pressure gradients
     diss_y: float
     osc: float             # largest u(center)/u(neighbor) over 3x3 neighborhoods
+    du_x: np.ndarray       # u_east - u_west, reused by the noise operator
+    du_y: np.ndarray       # u_north - u_south
 
 
 def oscillation(u: np.ndarray, east: np.ndarray, west: np.ndarray) -> float:
@@ -83,8 +92,8 @@ def oscillation(u: np.ndarray, east: np.ndarray, west: np.ndarray) -> float:
     the nine ratio fields bit for bit.
     """
     row = np.minimum(np.minimum(west, u), east)
-    low = np.minimum(np.minimum(fem.shift(row, 1, 0), row), fem.shift(row, -1, 0))
-    return float((u / low).max())
+    low = np.minimum(np.minimum(fem.shift(row, 1, -2), row), fem.shift(row, -1, -2))
+    return fem.node_max(u / low)
 
 
 # ---------------------------------------------------------------------------
@@ -120,19 +129,19 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid) -> StateTerms:
     formed once and shared.
     """
     check_positive(u)
-    east, west = fem.shift(u, -1, 1), fem.shift(u, 1, 1)
+    east, west = fem.shift(u, -1, -1), fem.shift(u, 1, -1)
     osc = oscillation(u, east, west)
     lap_u = fem.second_difference(east, u, west, grid.hx)
-    del west
-    north, south = fem.shift(u, -1, 0), fem.shift(u, 1, 0)
+    du_x = np.subtract(east, west, out=west)  # in place: no new field
+    north, south = fem.shift(u, -1, -2), fem.shift(u, 1, -2)
     lap_u += fem.second_difference(north, u, south, grid.hy)
-    del south
+    du_y = np.subtract(north, south, out=south)
     energy = energy_parts(u, east, north, lap_u, mat, grid)
     p = _pressure(u, lap_u, mat, grid)
     del lap_u
     drift, diss_x, diss_y = edge_fluxes(u, east, north, p, grid)
     entropy = fem.lumped_integral(mat.entropy_G(u), grid)
-    return StateTerms(drift, energy, entropy, diss_x, diss_y, osc)
+    return StateTerms(drift, energy, entropy, diss_x, diss_y, osc, du_x, du_y)
 
 
 def energy_parts(u: np.ndarray, east: np.ndarray, north: np.ndarray,
@@ -170,7 +179,7 @@ def edge_fluxes(u: np.ndarray, east: np.ndarray, north: np.ndarray, p: np.ndarra
 
 def _drift_and_dissipation(u: np.ndarray, mat: Material, grid: Grid):
     p = pressure_values(u, mat, grid)
-    return edge_fluxes(u, fem.shift(u, -1, 1), fem.shift(u, -1, 0), p, grid)
+    return edge_fluxes(u, fem.shift(u, -1, -1), fem.shift(u, -1, -2), p, grid)
 
 
 def drift_values(u: np.ndarray, mat: Material, grid: Grid,
@@ -192,19 +201,27 @@ def dissipation(u: Field, mat: Material, stopped: bool = False) -> tuple[float, 
 # noise application
 # ---------------------------------------------------------------------------
 
-def z_apply_x(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
-    """Nodal action of the x-noise operator for coefficient field w."""
-    return 0.5 * (u * (fem.shift(w, -1, 1) - fem.shift(w, 1, 1))
-                  + w * (fem.shift(u, -1, 1) - fem.shift(u, 1, 1))) / grid.hx
+def z_apply_x(u: np.ndarray, w: np.ndarray, grid: Grid,
+              du: np.ndarray | None = None) -> np.ndarray:
+    """Nodal action of the x-noise operator for coefficient field w; ``du``
+    is u_east - u_west when the caller has it (``StateTerms.du_x``)."""
+    if du is None:
+        du = fem.shift(u, -1, -1) - fem.shift(u, 1, -1)
+    return 0.5 * (u * (fem.shift(w, -1, -1) - fem.shift(w, 1, -1)) + w * du) / grid.hx
 
 
-def z_apply_y(u: np.ndarray, w: np.ndarray, grid: Grid) -> np.ndarray:
-    return 0.5 * (u * (fem.shift(w, -1, 0) - fem.shift(w, 1, 0))
-                  + w * (fem.shift(u, -1, 0) - fem.shift(u, 1, 0))) / grid.hy
+def z_apply_y(u: np.ndarray, w: np.ndarray, grid: Grid,
+              du: np.ndarray | None = None) -> np.ndarray:
+    if du is None:
+        du = fem.shift(u, -1, -2) - fem.shift(u, 1, -2)
+    return 0.5 * (u * (fem.shift(w, -1, -2) - fem.shift(w, 1, -2)) + w * du) / grid.hy
 
 
 def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,
-                     stopped: bool = False) -> np.ndarray:
+                     stopped: bool = False, du_x: np.ndarray | None = None,
+                     du_y: np.ndarray | None = None) -> np.ndarray:
+    """Noise increment Z_x(u; w_x) + Z_y(u; w_y); ``du_x``, ``du_y`` are the
+    neighbor differences of u from its ``StateTerms``, formed here if absent."""
     if stopped:
         return np.zeros_like(u)
-    return z_apply_x(u, wx, grid) + z_apply_y(u, wy, grid)
+    return z_apply_x(u, wx, grid, du_x) + z_apply_y(u, wy, grid, du_y)

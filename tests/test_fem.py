@@ -19,6 +19,11 @@ def test_shift_matches_np_roll(rng):
             out = fem.shift(a, offset, axis)
             assert out.flags.c_contiguous
             assert np.array_equal(out, np.roll(a, offset, axis=axis))
+    stack = rng.standard_normal((3, 5, 7))
+    for axis in (-2, -1):
+        for offset in (-1, 1, 6):
+            assert np.array_equal(fem.shift(stack, offset, axis),
+                                  np.roll(stack, offset, axis=axis))
 
 
 def test_dq_constant_field_is_zero(grid44):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,8 @@ def test_single_replica_reduces_to_run(tmp_path):
     res = run(bundle.initial, bundle.run, bundle.material,
               bundle.noise.with_seed(bundle.noise.seed))
     assert summary.n_replicas == 1 and summary.n_aborted == 0
-    assert summary.sup_R_mean == pytest.approx(res.sup_R, rel=1e-14)
-    assert summary.diss_mean == pytest.approx(res.diss_integral, rel=1e-14)
+    assert summary.sup_R_mean == res.sup_R
+    assert summary.diss_mean == res.diss_integral
 
 
 def test_silent_noise_gives_degenerate_ensemble(tmp_path):
@@ -97,7 +99,13 @@ def test_unexpected_replica_errors_are_recorded_not_fatal(tmp_path, monkeypatch)
             raise failures[model.seed]
         return real_run(u0, cfg, mat, model)
 
+    def failing_batch(*args):
+        raise RuntimeError("batched runner failed")
+
+    # the chunk's batched run fails as a whole, so each replica is rerun
+    # alone and its own error is recorded
     monkeypatch.setattr(harness, "run", flaky_run)
+    monkeypatch.setattr(harness, "run_replicas", failing_batch)
     summary = mc_ensemble(ensemble_config(tmp_path, steps=5), 4, max_workers=1)
     assert summary.n_aborted == 2
     errors = [o.error for o in summary.outcomes]
@@ -105,6 +113,62 @@ def test_unexpected_replica_errors_are_recorded_not_fatal(tmp_path, monkeypatch)
     assert errors[1] == "PositivityError: field must be strictly positive"
     assert errors[2] == "ValueError: bad value"
     assert np.isfinite(summary.sup_R_mean)
+
+
+def mixed_config(tmp_path):
+    # strong noise, a floor of 0.85, two halvings and a low threshold: the
+    # seeds 100..111 mix plain runs, threshold stops, halved steps and a
+    # replica that exhausts its halvings
+    return ensemble_config(tmp_path, n=8, lambda0=30.0, steps=20, u_floor=0.85,
+                           e_max_C=2.6, max_halvings=2)
+
+
+def outcome_key(o):
+    # NaN marks an aborted replica's monitors; compare it as a value
+    return tuple("nan" if v != v else v for v in dataclasses.astuple(o))
+
+
+def test_batched_chunks_equal_lone_replicas_bit_for_bit(tmp_path):
+    from stfe2d import harness
+    from stfe2d.config import assemble
+    from stfe2d.integrator import run
+    cfg = mixed_config(tmp_path)
+    lone = [harness._run_replica(cfg, r) for r in range(12)]
+
+    bundle = assemble(cfg)
+
+    def halves(replica):
+        res = run(bundle.initial, bundle.run, bundle.material,
+                  bundle.noise.with_seed(100 + replica))
+        return any(b.t - a.t < bundle.run.dt * (1 - 1e-9)
+                   for a, b in zip(res.records, res.records[1:]) if not a.stopped)
+
+    ran = [r for r, o in enumerate(lone) if o.error is None]
+    assert any(lone[r].stopped for r in ran)
+    assert any(not lone[r].stopped and not halves(r) for r in ran)
+    assert any(halves(r) for r in ran)
+    assert any(o.error is not None and o.error.startswith("positivity failure")
+               for o in lone)
+
+    one_chunk = mc_ensemble(cfg, 12, max_workers=1)
+    assert [outcome_key(o) for o in one_chunk.outcomes] == [outcome_key(o) for o in lone]
+
+    # 11 replicas over 2 workers: chunks of 6 and 5
+    assert harness.chunk_size(11, 2, 8 * 8) == 6
+    serial = mc_ensemble(cfg, 11, max_workers=1)
+    pooled = mc_ensemble(cfg, 11, max_workers=2)
+    expected = [outcome_key(o) for o in lone[:11]]
+    assert [outcome_key(o) for o in serial.outcomes] == expected
+    assert [outcome_key(o) for o in pooled.outcomes] == expected
+    assert serial.summary_row() == pooled.summary_row()
+
+
+def test_chunk_size_caps_the_stacked_field():
+    from stfe2d.harness import chunk_size
+    assert chunk_size(32, 2, 16 * 16) == 16
+    assert chunk_size(32, 2, 256 * 256) == 4       # 2**18 values per field
+    assert chunk_size(5, 2, 1024 * 1024) == 1
+    assert chunk_size(3, 1, 8 * 8) == 3
 
 
 def test_parallel_matches_serial(tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from stfe2d import diagnostics, scheme
 from stfe2d.grid import Field, Grid
 from stfe2d.integrator import (NoiseWorkspace, OverflowAbort, PositivityAbort,
-                               RunConfig, SimState, run, stable_dt, step_em, time_slack)
+                               RunConfig, SimState, run, run_replicas, stable_dt, step_em,
+                               time_slack)
 from stfe2d.material import Material, mobility_mean
 from stfe2d.noise import NoiseModel, PowerLawSchedule, TableSchedule
 
@@ -242,7 +243,7 @@ def test_diffusion_apply_unit_increment_matches_dense_table(mat, rng):
                        trunc_C=5.0, mode_cap=1)
     ws = NoiseWorkspace.build(model, grid, mat.eps)
     # pick dt so that the x increment of mode (1, 0) is exactly one
-    z = standard_normals(ws.keys_x[ws.modes.index((1, 0))], step_counter(0, 0))
+    z = standard_normals(ws.keys[0, ws.modes.index((1, 0))], step_counter(0, 0))
     wx, wy = ws.coefficient_fields(0, 0, dt=1.0 / z**2)
     out = scheme.diffusion_values(u.values, grid, np.sign(z) * wx, wy)
     tx, _ = oracle.dense_Z_table(grid, 1, 0)
@@ -270,8 +271,8 @@ def test_coefficient_fields_match_dense_mode_sum(mat):
     for m, (k, l) in enumerate(ws.modes):
         g = basis_eval(k, l, grid).values
         lx, ly = table.get((k, l), (0.0, 0.0))
-        ref_x += lx * np.sqrt(dt) * standard_normals(ws.keys_x[m], ctr) * g
-        ref_y += ly * np.sqrt(dt) * standard_normals(ws.keys_y[m], ctr) * g
+        ref_x += lx * np.sqrt(dt) * standard_normals(ws.keys[0, m], ctr) * g
+        ref_y += ly * np.sqrt(dt) * standard_normals(ws.keys[1, m], ctr) * g
     assert wx.shape == wy.shape == (grid.ny, grid.nx)
     assert np.abs(wx - ref_x).max() <= 1e-13 * np.abs(ref_x).max()
     assert np.abs(wy - ref_y).max() <= 1e-13 * np.abs(ref_y).max()
@@ -471,3 +472,33 @@ def test_run_evaluates_the_state_kernel_once_per_accepted_state(mat, monkeypatch
               mat, model)
     assert res.final.stopped and res.final.step == 20
     assert len(calls) == 1
+
+
+def test_run_replicas_equal_lone_runs_bit_for_bit(mat):
+    # one stack mixing plain runs, threshold stops, halved steps and a
+    # positivity abort; every replica must be its lone run exactly
+    from stfe2d.integrator import SimulationAbort
+    grid = Grid(8, 8, 1.0, 1.0)
+    dt = stable_dt(grid, mat)
+    cfg = RunConfig(t_max=20 * dt, dt=dt, u_floor=0.85, e_max_C=2.6, max_halvings=2)
+    model = NoiseModel(PowerLawSchedule(lambda0=30.0), seed=0)
+    seeds = list(range(100, 112))
+    u0 = cosine_film(grid)
+    batch = run_replicas(u0, cfg, mat, model, seeds)
+    kinds = set()
+    for seed, got in zip(seeds, batch):
+        try:
+            want = run(u0, cfg, mat, model.with_seed(seed))
+        except SimulationAbort as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            kinds.add("abort")
+            continue
+        a, b = got.final, want.final
+        assert np.array_equal(a.u.values, b.u.values)
+        assert (a.t, a.step, a.stopped, a.stop_time, a.initial_mass) == \
+            (b.t, b.step, b.stopped, b.stop_time, b.initial_mass)
+        assert (got.sup_R, got.sup_osc, got.diss_integral, got.max_mass_drift) == \
+            (want.sup_R, want.sup_osc, want.diss_integral, want.max_mass_drift)
+        kinds.add("stopped" if b.stopped else "ran")
+    assert kinds == {"abort", "stopped", "ran"}
+

@@ -103,6 +103,30 @@ def test_increment_determinism():
     assert not np.array_equal(ax, dx)
 
 
+def test_draws_are_pinned():
+    # values recorded before the two components were drawn in one call;
+    # any change to the keys, the counter mix or Box-Muller shows here
+    keys = mode_keys(7, 0, [(1, 0), (0, 1), (-2, 3)])
+    assert standard_normals(keys, step_counter(5, 2)).tolist() == [
+        -0.23053132524630834, -0.932572054387061, 0.3447147335520032]
+    keys = mode_keys(2**64 - 1, 1, [(0, 0), (-64, 64)])
+    assert standard_normals(keys, step_counter(123456789, 63)).tolist() == [
+        -0.08410306399541692, 1.3051083756163735]
+
+
+def test_stacked_keys_draw_like_separate_calls():
+    model = NoiseModel(PowerLawSchedule(), seed=31)
+    modes = truncation_set(model, 1.0 / 8, 1.0)
+    ws = NoiseWorkspace.build(model, Grid(8, 8, 1.0, 1.0), 1.0, seeds=[31, 5, 31])
+    assert ws.keys.shape == (3, 2, len(modes))
+    ctr = step_counter(4, 1)
+    stacked = standard_normals(ws.keys, ctr)
+    for r, seed in enumerate([31, 5, 31]):
+        for c in (0, 1):
+            assert np.array_equal(stacked[r, c],
+                                  standard_normals(mode_keys(seed, c, modes), ctr))
+
+
 def test_surviving_modes_unchanged_under_truncation_shrink():
     model = NoiseModel(PowerLawSchedule(), seed=4)
     big = truncation_set(model, 1.0 / 64, 1.0)

@@ -196,6 +196,25 @@ def test_state_kernel_equals_the_separate_views(rng, strat_shift):
     assert terms.osc == diagnostics.oscillation_ratio(u)
 
 
+def test_stacked_kernel_and_noise_equal_each_field(rng):
+    # a stack of replica fields gives each field's own numbers bit for bit,
+    # and the kernel's neighbor differences give the noise operator's own
+    mat = Material(strat_shift=0.3)
+    grid = Grid(24, 16, 1.5, 0.8)
+    stack = np.stack([positive_field(rng, grid).values for _ in range(3)])
+    w = rng.standard_normal((2, 3, grid.ny, grid.nx))
+    terms = scheme.state_terms(stack, mat, grid)
+    noise = scheme.diffusion_values(stack, grid, w[0], w[1],
+                                    du_x=terms.du_x, du_y=terms.du_y)
+    for r, u in enumerate(stack):
+        lone = scheme.state_terms(u, mat, grid)
+        assert np.array_equal(terms.drift[r], lone.drift)
+        assert tuple(e[r] for e in terms.energy) == lone.energy
+        assert (terms.entropy[r], terms.diss_x[r], terms.diss_y[r], terms.osc[r]) == \
+            (lone.entropy, lone.diss_x, lone.diss_y, lone.osc)
+        assert np.array_equal(noise[r], scheme.diffusion_values(u, grid, w[0, r], w[1, r]))
+
+
 def test_stopped_zeroes_everything(mat, rng, grid65):
     u = positive_field(rng, grid65)
     assert np.all(scheme.compute_pressure(u, mat, stopped=True).values == 0.0)
