@@ -70,27 +70,6 @@ def dqy_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
     return (values - shift(values, 1, -2)) / grid.hy
 
 
-def dq_x_plus(f: Field, i: int, j: int) -> float:
-    """Pointwise forward difference quotient in x at node (i, j)."""
-    v, g = f.values, f.grid
-    return (v[j % g.ny, (i + 1) % g.nx] - v[j % g.ny, i % g.nx]) / g.hx
-
-
-def dq_x_minus(f: Field, i: int, j: int) -> float:
-    v, g = f.values, f.grid
-    return (v[j % g.ny, i % g.nx] - v[j % g.ny, (i - 1) % g.nx]) / g.hx
-
-
-def dq_y_plus(f: Field, i: int, j: int) -> float:
-    v, g = f.values, f.grid
-    return (v[(j + 1) % g.ny, i % g.nx] - v[j % g.ny, i % g.nx]) / g.hy
-
-
-def dq_y_minus(f: Field, i: int, j: int) -> float:
-    v, g = f.values, f.grid
-    return (v[j % g.ny, i % g.nx] - v[(j - 1) % g.ny, i % g.nx]) / g.hy
-
-
 # ---------------------------------------------------------------------------
 # discrete Laplacian / bi-Laplacian
 # ---------------------------------------------------------------------------
@@ -112,22 +91,6 @@ def lap(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 def bilap(values: np.ndarray, grid: Grid) -> np.ndarray:
     return lap(lap(values, grid), grid)
-
-
-def disc_lap(f: Field) -> Field:
-    return f.with_values(lap(f.values, f.grid))
-
-
-def disc_lap_x(f: Field) -> Field:
-    return f.with_values(lap_x(f.values, f.grid))
-
-
-def disc_lap_y(f: Field) -> Field:
-    return f.with_values(lap_y(f.values, f.grid))
-
-
-def disc_bilap(f: Field) -> Field:
-    return f.with_values(bilap(f.values, f.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +119,6 @@ def lumped_integral(values: np.ndarray, grid: Grid):
     return grid.cell_area * node_sum(values)
 
 
-def lumped_integral_xy(f: Field) -> float:
-    return lumped_integral(f.values, f.grid)
-
-
 def inner_h(a: np.ndarray, b: np.ndarray, grid: Grid):
     return grid.cell_area * node_sum(a * b)
 
@@ -171,15 +130,6 @@ def norm_h(a: np.ndarray, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 # directional Dirichlet forms
 # ---------------------------------------------------------------------------
-
-def nodal_to_edge_x(a: np.ndarray) -> np.ndarray:
-    """Arithmetic edge average of a nodal coefficient: value at (i+1/2, j)."""
-    return 0.5 * (a + shift(a, -1, -1))
-
-
-def nodal_to_edge_y(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + shift(a, -1, -2))
-
 
 def dirichlet_x(f: np.ndarray, g: np.ndarray, grid: Grid,
                 edge_weight: np.ndarray | None = None) -> float:
@@ -200,33 +150,6 @@ def dirichlet_y(f: np.ndarray, g: np.ndarray, grid: Grid,
     if edge_weight is not None:
         prod = edge_weight * prod
     return grid.cell_area * float(prod.sum())
-
-
-def lumped_dirichlet_x(a: Field | np.ndarray | None, f: Field, g: Field,
-                       nodal_coeff: bool = False) -> float:
-    """Mobility-weighted x-Dirichlet form.
-
-    ``a`` is an edge-centered coefficient array by default; pass
-    ``nodal_coeff=True`` to hand in nodal values, which are averaged onto
-    edges (the exact reduction of the lumped-in-y integral for a nodal
-    coefficient).  ``a=None`` gives the plain form.
-    """
-    w = None
-    if a is not None:
-        w = a.values if isinstance(a, Field) else np.asarray(a, dtype=np.float64)
-        if nodal_coeff:
-            w = nodal_to_edge_x(w)
-    return dirichlet_x(f.values, g.values, f.grid, w)
-
-
-def lumped_dirichlet_y(a: Field | np.ndarray | None, f: Field, g: Field,
-                       nodal_coeff: bool = False) -> float:
-    w = None
-    if a is not None:
-        w = a.values if isinstance(a, Field) else np.asarray(a, dtype=np.float64)
-        if nodal_coeff:
-            w = nodal_to_edge_y(w)
-    return dirichlet_y(f.values, g.values, f.grid, w)
 
 
 # ---------------------------------------------------------------------------

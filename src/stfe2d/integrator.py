@@ -14,9 +14,16 @@ drift, diffusion, and fluxes are all zeroed) and only the clock advances.
 ``em_step`` is the one step implementation.  It advances a stack of
 replicas of one configuration (fields of shape (R, ny, nx), one noise seed
 each) with per-replica step sizes, halvings and stops; ``step_em`` is its
-batch-of-one case and ``run_replicas`` integrates a whole stack.  Each
-replica's draws are a pure function of (seed, component, k, l, step,
-attempt), so a replica in a stack reproduces its lone run bit for bit.
+batch-of-one case.  ``_integrate`` is the one stepping loop: it validates
+the initial field, freezes the replicas whose initial energy reaches the
+threshold, steps until each clock reaches the horizon up to its rounding
+(``time_slack``), and keeps each replica's running monitors (sup R, sup of
+the oscillation ratio before stopping, trapezoidal dissipation integral,
+worst mass drift).  ``run_replicas`` runs it over R seeds; ``run`` runs it
+over one seed (lead shape ()) and adds what a lone trajectory emits: the
+records, the snapshots, and the abort raised.  Each replica's draws are a
+pure function of (seed, component, k, l, step, attempt), so a replica in a
+stack reproduces its lone run bit for bit.
 
 The base step defaults to a tenth of the explicit stability bound of the
 linearized fourth-order terms (mobility part plus h^eps curvature part);
@@ -26,7 +33,7 @@ see ``stable_dt``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -117,11 +124,6 @@ class SimState:
     stopped: bool
     stop_time: float | None
     initial_mass: float
-    # scheme.state_terms(u.values, mat, u.grid) for the mat the state is
-    # stepped with, computed once when the state is accepted; step_em trusts
-    # it whenever it is set.  A state whose u is replaced by hand (e.g. with
-    # dataclasses.replace) must also set terms=None, so they are recomputed.
-    terms: scheme.StateTerms | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def initial(cls, u0: Field) -> "SimState":
@@ -293,23 +295,24 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
 def step_em(state: SimState, cfg: RunConfig, mat: Material,
             ws: NoiseWorkspace) -> SimState:
     """One Euler-Maruyama step (or a frozen clock advance once stopped): the
-    batch-of-one case of ``em_step``.
-
-    Drift and threshold test come from ``state.terms`` (computed here if
-    absent); the returned state carries the terms of its own field.
-    """
+    batch-of-one case of ``em_step``."""
     grid = state.u.grid
     stop_time = np.nan if state.stop_time is None else state.stop_time
     start = Replicas(state.u.values, np.float64(state.t), np.bool_(state.stopped),
-                     np.float64(stop_time), state.terms)
+                     np.float64(stop_time), None)
     new, aborts = em_step(start, state.step, np.True_, cfg, mat, ws, grid)
     if aborts:
         raise aborts[()]
-    stop_time = float(new.stop_time)
-    return replace(state, u=state.u if new.u is start.u else Field(grid, new.u),
-                   t=float(new.t), step=state.step + 1, stopped=bool(new.stopped),
-                   stop_time=None if math.isnan(stop_time) else stop_time,
-                   terms=new.terms)
+    return _state_of(new, (), state.step + 1, grid, state.initial_mass)
+
+
+def _state_of(reps: Replicas, idx: tuple, step, grid: Grid, initial_mass: float) -> SimState:
+    """The SimState of replica ``idx`` of ``reps`` (idx = () for one field)."""
+    stop_time = float(reps.stop_time[idx])
+    return SimState(u=Field(grid, reps.u[idx]), t=float(reps.t[idx]), step=int(step),
+                    stopped=bool(reps.stopped[idx]),
+                    stop_time=None if math.isnan(stop_time) else stop_time,
+                    initial_mass=initial_mass)
 
 
 @dataclass
@@ -323,108 +326,46 @@ class RunResult:
     max_mass_drift: float    # max |mass(t) - mass(0)| / |mass(0)|
 
 
-def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
-        diag_cb: Callable | None = None,
-        snapshot_cb: Callable | None = None) -> RunResult:
-    """Integrate to t_max, emitting diagnostics and snapshots along the way.
+def _integrate(u0: Field, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
+               lead: tuple, visit: Callable | None = None) -> list:
+    """The stepping loop: integrate the replicas of ``ws`` (lead = () for one
+    seed, (R,) for R seeds) from u0 to t_max through ``em_step``, with the
+    running monitors of each replica.
 
-    Deterministic for fixed (seed, config): records, snapshots and the final
-    state are pure functions of the inputs.
+    ``visit(reps, step, live, aborts, reached, state)`` sees the initial
+    states and the states after each step: ``live`` masks the replicas that
+    have neither reached the horizon nor aborted, ``aborts`` holds the aborts
+    of that step, ``reached(target)`` tests the clocks against a time up to
+    their rounding (``time_slack``) and ``state(idx)`` builds replica idx's
+    SimState.  Returns, per replica in ``np.ndindex(lead)`` order, its
+    RunResult without records or snapshots, or the SimulationAbort that
+    ended it.
     """
     grid = u0.grid
-    ws = NoiseWorkspace.build(model, grid, mat.eps)
-    state = replace(SimState.initial(u0), terms=scheme.state_terms(u0.values, mat, grid))
-
-    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
-    if state.terms.energy.total >= e_max:
-        state = replace(state, stopped=True, stop_time=0.0)
-
-    def record_of(s: SimState) -> diagnostics.DiagRecord:
-        return diagnostics.make_record(s.u, mat, s.t, s.stopped, cfg.alpha, cfg.kappa,
-                                       terms=s.terms)
-
-    rec = record_of(state)
-    records = [rec]
-    if diag_cb is not None:
-        diag_cb(rec)
-
-    snap_times = sorted(cfg.snapshot_times)
-    snapshots = []
-    base_dt = cfg.base_dt(grid, mat)
-
-    def reached(s: SimState, target: float) -> bool:
-        return s.t >= target - time_slack(s.step, s.t, base_dt)
-
-    def emit_snapshots(s: SimState):
-        while snap_times and reached(s, snap_times[0]):
-            snap_times.pop(0)
-            snapshots.append((s.t, s.u))
-            if snapshot_cb is not None:
-                snapshot_cb(s)
-
-    emit_snapshots(state)
-
-    sup_R = rec.R
-    sup_osc = rec.osc
-    max_drift = 0.0
-    diss_integral = 0.0
-    diss_prev = rec.diss_x + rec.diss_y
-    mass0 = state.initial_mass
-
-    while not reached(state, cfg.t_max):
-        prev_t = state.t
-        state = step_em(state, cfg, mat, ws)
-        rec = record_of(state)
-        diss_now = rec.diss_x + rec.diss_y
-        diss_integral += 0.5 * (diss_prev + diss_now) * (state.t - prev_t)
-        diss_prev = diss_now
-        sup_R = max(sup_R, rec.R)
-        if not state.stopped:
-            sup_osc = max(sup_osc, rec.osc)
-        max_drift = max(max_drift, abs(rec.mass - mass0) / abs(mass0))
-        done = reached(state, cfg.t_max)
-        if state.step % cfg.diag_interval == 0 or done:
-            records.append(rec)
-            if diag_cb is not None:
-                diag_cb(rec)
-        emit_snapshots(state)
-
-    return RunResult(final=state, records=records, snapshots=snapshots,
-                     diss_integral=diss_integral, sup_R=sup_R, sup_osc=sup_osc,
-                     max_mass_drift=max_drift)
-
-
-def run_replicas(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
-                 seeds) -> list:
-    """Integrate one replica of ``model`` per seed from u0 to t_max, stepped
-    together through ``em_step``.
-
-    Entry r is what ``run(u0, cfg, mat, model.with_seed(seeds[r]))`` returns,
-    bit for bit, with no records or snapshots, or the SimulationAbort it
-    raises.  Replicas that reach the horizon or abort drop out of the step.
-    """
-    grid = u0.grid
-    ws = NoiseWorkspace.build(model, grid, mat.eps, seeds)
     mass0 = SimState.initial(u0).initial_mass
-    u = np.repeat(u0.values[None], len(seeds), axis=0)
+    u = np.tile(u0.values, (*lead, 1, 1))
     terms = scheme.state_terms(u, mat, grid)
-    stopped = terms.energy.total >= diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
-    reps = Replicas(u, np.zeros(len(seeds)), stopped, np.where(stopped, 0.0, np.nan), terms)
+    stopped = np.asarray(
+        terms.energy.total >= diagnostics.threshold_energy(grid, mat, cfg.e_max_C))
+    reps = Replicas(u, np.zeros(lead), stopped, np.where(stopped, 0.0, np.nan), terms)
     base_dt = cfg.base_dt(grid, mat)
-    steps = np.zeros(len(seeds), dtype=int)
+    step, steps = 0, np.zeros(lead, dtype=int)
 
-    def reached(t):
-        return t >= cfg.t_max - time_slack(steps, t, base_dt)
+    def reached(target):
+        return reps.t >= target - time_slack(steps, reps.t, base_dt)
 
-    # the running monitors of ``run``, one entry per replica
-    sup_R = cfg.alpha + terms.energy.total + cfg.kappa * terms.entropy
-    sup_osc = terms.osc
+    def state(idx):
+        return _state_of(reps, idx, steps[idx], grid, mass0)
+
+    sup_R = np.asarray(cfg.alpha + terms.energy.total + cfg.kappa * terms.entropy)
+    sup_osc = np.asarray(terms.osc)
     diss_prev = np.where(stopped, 0.0, terms.diss_x + terms.diss_y)
-    diss_integral = np.zeros(len(seeds))
-    max_drift = np.zeros(len(seeds))
+    diss_integral = np.zeros(lead)
+    max_drift = np.zeros(lead)
     aborts = {}
-    live = ~reached(reps.t)
-    step = 0
+    live = np.array(~reached(cfg.t_max))  # a mask that takes item assignment, also for lead ()
+    if visit is not None:
+        visit(reps, step, live, {}, reached, state)
     while live.any():
         prev_t = reps.t
         reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid)
@@ -433,31 +374,76 @@ def run_replicas(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
             live[idx] = False
         step += 1
         steps = np.where(live, step, steps)
+        # a replica that is not live kept its state, so the maxima below
+        # leave its monitors as they are
         terms = reps.terms
-        R = cfg.alpha + terms.energy.total + cfg.kappa * terms.entropy
         diss_now = np.where(reps.stopped, 0.0, terms.diss_x + terms.diss_y)
         diss_integral = np.where(
             live, diss_integral + 0.5 * (diss_prev + diss_now) * (reps.t - prev_t),
             diss_integral)
         diss_prev = diss_now
-        sup_R = np.where(live, np.maximum(sup_R, R), sup_R)
-        sup_osc = np.where(live & ~reps.stopped, np.maximum(sup_osc, terms.osc), sup_osc)
+        sup_R = np.maximum(sup_R, cfg.alpha + terms.energy.total + cfg.kappa * terms.entropy)
+        sup_osc = np.where(reps.stopped, sup_osc, np.maximum(sup_osc, terms.osc))
         drift = np.abs(fem.lumped_integral(reps.u, grid) - mass0) / abs(mass0)
-        max_drift = np.where(live, np.maximum(max_drift, drift), max_drift)
-        live &= ~reached(reps.t)
+        max_drift = np.maximum(max_drift, drift)
+        live &= ~reached(cfg.t_max)
+        if visit is not None:
+            visit(reps, step, live, new_aborts, reached, state)
 
-    results = []
-    for r in range(len(seeds)):
-        if (r,) in aborts:
-            results.append(aborts[(r,)])
-            continue
-        stop_time = float(reps.stop_time[r])
-        final = SimState(u=Field(grid, reps.u[r]), t=float(reps.t[r]), step=int(steps[r]),
-                         stopped=bool(reps.stopped[r]),
-                         stop_time=None if np.isnan(stop_time) else stop_time,
-                         initial_mass=mass0)
-        results.append(RunResult(final=final, records=[], snapshots=[],
-                                 diss_integral=float(diss_integral[r]),
-                                 sup_R=float(sup_R[r]), sup_osc=float(sup_osc[r]),
-                                 max_mass_drift=float(max_drift[r])))
-    return results
+    def result(idx):
+        if idx in aborts:
+            return aborts[idx]
+        return RunResult(final=state(idx), records=[], snapshots=[],
+                         diss_integral=float(diss_integral[idx]), sup_R=float(sup_R[idx]),
+                         sup_osc=float(sup_osc[idx]), max_mass_drift=float(max_drift[idx]))
+
+    return [result(idx) for idx in np.ndindex(lead)]
+
+
+def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
+        diag_cb: Callable | None = None,
+        snapshot_cb: Callable | None = None) -> RunResult:
+    """Integrate to t_max, emitting diagnostics and snapshots along the way:
+    the one-seed case of the stepping loop, which raises its abort.
+
+    A record is built for the initial state, every ``diag_interval`` steps
+    and for the last state.  Deterministic for fixed (seed, config):
+    records, snapshots and the final state are pure functions of the inputs.
+    """
+    ws = NoiseWorkspace.build(model, u0.grid, mat.eps)
+    records, snapshots = [], []
+    snap_times = sorted(cfg.snapshot_times)
+
+    def emit(reps, step, live, aborts, reached, state):
+        if aborts:
+            raise aborts[()]
+        s = None
+        if step % cfg.diag_interval == 0 or not live:
+            s = state(())
+            rec = diagnostics.make_record(s.u, mat, s.t, s.stopped, cfg.alpha, cfg.kappa,
+                                          terms=reps.terms)
+            records.append(rec)
+            if diag_cb is not None:
+                diag_cb(rec)
+        while snap_times and reached(snap_times[0]):
+            snap_times.pop(0)
+            s = s or state(())
+            snapshots.append((s.t, s.u))
+            if snapshot_cb is not None:
+                snapshot_cb(s)
+
+    [result] = _integrate(u0, cfg, mat, ws, (), emit)
+    return replace(result, records=records, snapshots=snapshots)
+
+
+def run_replicas(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
+                 seeds) -> list:
+    """Integrate one replica of ``model`` per seed from u0 to t_max, stepped
+    together as one stack.
+
+    Entry r is what ``run(u0, cfg, mat, model.with_seed(seeds[r]))`` returns,
+    bit for bit, with no records or snapshots, or the SimulationAbort it
+    raises.  Replicas that reach the horizon or abort drop out of the step.
+    """
+    ws = NoiseWorkspace.build(model, u0.grid, mat.eps, seeds)
+    return _integrate(u0, cfg, mat, ws, (len(seeds),))

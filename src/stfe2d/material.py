@@ -185,37 +185,12 @@ def d2F_mean(mat: Material, a, b):
     return out if out.shape else float(out)
 
 
-def function_mean(f, a, b, antiderivative=None, n_gauss: int = 5):
-    """Average of f over [a, b]; divided difference of the antiderivative when
-    available, else Gauss-Legendre quadrature; midpoint value when b ~ a."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    a, b = np.broadcast_arrays(a, b)
-    near = np.abs(b - a) <= DEGENERATE_REL * np.maximum(np.abs(a), np.abs(b))
-    if antiderivative is not None:
-        safe_b = np.where(near, a + 1.0, b)
-        val = (antiderivative(safe_b) - antiderivative(a)) / (safe_b - a)
-    else:
-        t, w = np.polynomial.legendre.leggauss(n_gauss)
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        val = sum(wi * f(mid + half * ti) for ti, wi in zip(t, w)) / 2.0
-    out = np.where(near, f(0.5 * (a + b)), val)
-    return out if out.shape else float(out)
-
-
-def elem_mean(kind: str, a, b, mat: Material | None = None, f=None, antiderivative=None):
-    """Edge-mean dispatch: 'inv_Gpp' (mobility weight), 'Fpp', or 'custom'."""
+def elem_mean(kind: str, a, b, mat: Material | None = None):
+    """Edge-mean dispatch: 'inv_Gpp' (mobility weight) or 'Fpp'."""
     if kind == "inv_Gpp":
         return mobility_mean(a, b)
     if kind == "Fpp":
         if mat is None:
             raise ValueError("Fpp mean needs a Material")
         return d2F_mean(mat, a, b)
-    if kind == "custom":
-        if f is None:
-            raise ValueError("custom mean needs a callable")
-        _require_positive(a, "elem_mean")
-        _require_positive(b, "elem_mean")
-        return function_mean(f, a, b, antiderivative=antiderivative)
     raise ValueError(f"unknown elem_mean kind {kind!r}")

@@ -114,7 +114,6 @@ def pressure_values(u: np.ndarray, mat: Material, grid: Grid,
                     stopped: bool = False) -> np.ndarray:
     if stopped:
         return np.zeros_like(u)
-    check_positive(u)
     return _pressure(u, fem.lap(u, grid), mat, grid)
 
 
@@ -128,15 +127,15 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid) -> StateTerms:
     The Laplacian, the pressure and the periodic neighbors of u are each
     formed once and shared.
     """
-    check_positive(u)
     east, west = fem.shift(u, -1, -1), fem.shift(u, 1, -1)
-    osc = oscillation(u, east, west)
-    lap_u = fem.second_difference(east, u, west, grid.hx)
-    du_x = np.subtract(east, west, out=west)  # in place: no new field
     north, south = fem.shift(u, -1, -2), fem.shift(u, 1, -2)
+    lap_u = fem.second_difference(east, u, west, grid.hx)
     lap_u += fem.second_difference(north, u, south, grid.hy)
-    du_y = np.subtract(north, south, out=south)
+    # the first material call: a nonpositive u raises before any division by u
     energy = energy_parts(u, east, north, lap_u, mat, grid)
+    osc = oscillation(u, east, west)
+    du_x = np.subtract(east, west, out=west)  # in place: no new field
+    du_y = np.subtract(north, south, out=south)
     p = _pressure(u, lap_u, mat, grid)
     del lap_u
     drift, diss_x, diss_y = edge_fluxes(u, east, north, p, grid)

@@ -27,38 +27,31 @@ def test_shift_matches_np_roll(rng):
 
 
 def test_dq_constant_field_is_zero(grid44):
-    f = Field.constant(grid44, 5.0)
-    for i in range(4):
-        for j in range(4):
-            assert fem.dq_x_plus(f, i, j) == 0.0
-            assert fem.dq_x_minus(f, i, j) == 0.0
-            assert fem.dq_y_plus(f, i, j) == 0.0
-            assert fem.dq_y_minus(f, i, j) == 0.0
+    v = Field.constant(grid44, 5.0).values
+    for dq in (fem.dqx_plus, fem.dqx_minus, fem.dqy_plus, fem.dqy_minus):
+        assert np.all(dq(v, grid44) == 0.0)
 
 
 def test_dq_linear_ramp_interior(grid44):
     g = grid44
     vals = np.tile(np.arange(4) * g.hx, (4, 1))
-    f = Field(g, vals)
+    dq = fem.dqx_plus(vals, g)
     for j in range(4):
         for i in range(3):  # wrap column excluded
-            assert fem.dq_x_plus(f, i, j) == pytest.approx(1.0, abs=1e-14)
+            assert dq[j, i] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dq_matches_bruteforce_shift_table(grid44, rng):
     # oracle: dense index arithmetic, no vectorized shifts
-    f = Field(grid44, rng.standard_normal((4, 4)))
-    v, hx, hy = f.values, grid44.hx, grid44.hy
+    v, hx, hy = rng.standard_normal((4, 4)), grid44.hx, grid44.hy
+    xp, xm = fem.dqx_plus(v, grid44), fem.dqx_minus(v, grid44)
+    yp, ym = fem.dqy_plus(v, grid44), fem.dqy_minus(v, grid44)
     for j in range(4):
         for i in range(4):
-            assert fem.dq_x_plus(f, i, j) == (v[j, (i + 1) % 4] - v[j, i]) / hx
-            assert fem.dq_x_minus(f, i, j) == (v[j, i] - v[j, (i - 1) % 4]) / hx
-            assert fem.dq_y_plus(f, i, j) == (v[(j + 1) % 4, i] - v[j, i]) / hy
-            assert fem.dq_y_minus(f, i, j) == (v[j, i] - v[(j - 1) % 4, i]) / hy
-    arr = fem.dqx_plus(f.values, grid44)
-    for j in range(4):
-        for i in range(4):
-            assert arr[j, i] == fem.dq_x_plus(f, i, j)
+            assert xp[j, i] == (v[j, (i + 1) % 4] - v[j, i]) / hx
+            assert xm[j, i] == (v[j, i] - v[j, (i - 1) % 4]) / hx
+            assert yp[j, i] == (v[(j + 1) % 4, i] - v[j, i]) / hy
+            assert ym[j, i] == (v[j, i] - v[(j - 1) % 4, i]) / hy
 
 
 def test_dq_composition_gives_directional_laplacian(grid65, rng):
@@ -72,6 +65,7 @@ def test_dq_composition_gives_directional_laplacian(grid65, rng):
     assert np.abs(b - lx).max() <= 1e-15 * scale
     ay = fem.dqy_plus(fem.dqy_minus(v, g), g)
     assert np.abs(ay - fem.lap_y(v, g)).max() <= 1e-15 * np.abs(ay).max()
+    assert np.array_equal(lx + fem.lap_y(v, g), fem.lap(v, g))
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +73,9 @@ def test_dq_composition_gives_directional_laplacian(grid65, rng):
 # ---------------------------------------------------------------------------
 
 def test_lap_annihilates_constants(grid65):
-    f = Field.constant(grid65, 3.3)
-    assert np.all(fem.disc_lap(f).values == 0.0)
-    assert np.all(fem.disc_bilap(f).values == 0.0)
+    v = Field.constant(grid65, 3.3).values
+    assert np.all(fem.lap(v, grid65) == 0.0)
+    assert np.all(fem.bilap(v, grid65) == 0.0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -90,7 +84,7 @@ def test_lap_cosine_eigenfield(k):
     x, _ = grid.node_coords()
     f = Field(grid, np.tile(np.cos(2 * np.pi * k * x / grid.Lx), (grid.ny, 1)))
     mu = -(4.0 / grid.hx**2) * np.sin(np.pi * k * grid.hx / grid.Lx) ** 2
-    out = fem.disc_lap(f).values
+    out = fem.lap(f.values, grid)
     assert np.abs(out - mu * f.values).max() <= 1e-12 * abs(mu)
 
 
@@ -109,7 +103,7 @@ def test_bilap_eigenvalue_and_symmetry(rng):
     k = 2
     f = Field(grid, np.tile(np.cos(2 * np.pi * k * x / grid.Lx), (grid.ny, 1)))
     mu = -(4.0 / grid.hx**2) * np.sin(np.pi * k * grid.hx / grid.Lx) ** 2
-    out = fem.disc_bilap(f).values
+    out = fem.bilap(f.values, grid)
     assert np.abs(out - mu**2 * f.values).max() <= 1e-10 * mu**2
 
     a = rng.standard_normal((12, 12))
@@ -130,14 +124,14 @@ def test_lap_has_zero_lumped_mean(rng, grid65):
 # ---------------------------------------------------------------------------
 
 def test_lumped_integral_constant(grid65):
-    f = Field.constant(grid65, 1.0)
-    assert fem.lumped_integral_xy(f) == pytest.approx(grid65.Lx * grid65.Ly, rel=1e-14)
+    v = Field.constant(grid65, 1.0).values
+    assert fem.lumped_integral(v, grid65) == pytest.approx(grid65.Lx * grid65.Ly, rel=1e-14)
 
 
 def test_lumped_integral_single_spike(grid44):
     v = np.zeros((4, 4))
     v[2, 1] = 1.0
-    assert fem.lumped_integral_xy(Field(grid44, v)) == pytest.approx(
+    assert fem.lumped_integral(v, grid44) == pytest.approx(
         grid44.cell_area, rel=1e-14)
 
 
@@ -155,7 +149,7 @@ def test_lumped_integral_matches_gauss_quadrature(grid44, rng):
                 for b, wb in zip(t, w):
                     total += (grid44.cell_area * wa * wb
                               * ev((ic + a) * grid44.hx, (jc + b) * grid44.hy))
-    assert fem.lumped_integral_xy(f) == pytest.approx(total, abs=1e-13)
+    assert fem.lumped_integral(f.values, grid44) == pytest.approx(total, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -166,18 +160,17 @@ def test_dirichlet_zero_for_constant_direction(grid65, rng):
     c = Field.constant(grid65, 2.0)
     g = Field(grid65, rng.standard_normal((5, 6)))
     a = Field(grid65, rng.uniform(0.5, 1.5, (5, 6)))
-    assert fem.lumped_dirichlet_x(a.values, c, g) == 0.0
-    assert fem.lumped_dirichlet_y(None, c, g) == 0.0
+    assert fem.dirichlet_x(c.values, g.values, grid65, a.values) == 0.0
+    assert fem.dirichlet_y(c.values, g.values, grid65) == 0.0
 
 
 def test_dirichlet_single_hat_hand_value():
     grid = Grid(4, 4, 1.0, 1.0)
     v = np.zeros((4, 4))
     v[1, 1] = 1.0  # one nodal hat
-    f = Field(grid, v)
     # d+x of the hat: +1/hx on edge (0,1) row 1, -1/hx on edge (1,2) row 1
     expected = grid.cell_area * 2.0 / grid.hx**2
-    assert fem.lumped_dirichlet_x(None, f, f) == pytest.approx(expected, rel=1e-14)
+    assert fem.dirichlet_x(v, v, grid) == pytest.approx(expected, rel=1e-14)
 
 
 def test_dirichlet_weighted_matches_dense(rng, grid44):
@@ -190,15 +183,6 @@ def test_dirichlet_weighted_matches_dense(rng, grid44):
     fast_y = fem.dirichlet_y(f, g, grid44, a)
     dense_y = oracle.dense_dirichlet_y(f, g, grid44, a)
     assert abs(fast_y - dense_y) <= 1e-12 * max(abs(fast_y), abs(dense_y), 1.0)
-
-
-def test_dirichlet_nodal_coefficient_entry_point(rng, grid44):
-    f = Field(grid44, rng.standard_normal((4, 4)))
-    g = Field(grid44, rng.standard_normal((4, 4)))
-    a = rng.uniform(0.5, 2.0, (4, 4))  # nodal coefficient
-    via_nodal = fem.lumped_dirichlet_x(a, f, g, nodal_coeff=True)
-    via_edges = fem.lumped_dirichlet_x(fem.nodal_to_edge_x(a), f, g)
-    assert via_nodal == pytest.approx(via_edges, rel=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -321,13 +305,3 @@ def test_interpolation_error_of_lipschitz_composition_is_first_order():
         hs.append(grid.hx)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= 0.8
-
-
-def test_directional_laplacian_field_wrappers(rng, grid65):
-    f = Field(grid65, rng.standard_normal((5, 6)))
-    fx = fem.disc_lap_x(f).values
-    fy = fem.disc_lap_y(f).values
-    assert np.array_equal(fx + fy, fem.disc_lap(f).values) or \
-        np.abs(fx + fy - fem.disc_lap(f).values).max() <= 1e-15 * np.abs(fx).max()
-    assert np.array_equal(fx, fem.lap_x(f.values, grid65))
-    assert np.array_equal(fy, fem.lap_y(f.values, grid65))

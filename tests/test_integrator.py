@@ -138,6 +138,40 @@ def test_run_determinism(mat):
     assert np.array_equal(r1.final.u.values, r2.final.u.values)
 
 
+def test_diag_interval_thins_the_records_only(monkeypatch):
+    # a noisy run that stops mid-way: with diag_interval=7 the records are
+    # those of steps 0, 7, 14, ... and of the last step, each == its twin in
+    # the diag_interval=1 run; the monitors still see every state, and no
+    # record is built that is not emitted
+    grid = Grid(24, 16, 1.5, 0.8)
+    mat = Material(strat_shift=0.3)
+    model = NoiseModel(PowerLawSchedule(lambda0=1.0), seed=19)
+    u0 = cosine_film(grid, amp=0.05)
+    t_max = 40 * stable_dt(grid, mat)
+    free = run(u0, RunConfig(t_max=t_max, e_max_C=1e6), mat, model)
+    energies = [r.E_total for r in free.records]
+    k = next(k for k in range(10, 36) if energies[k] > max(energies[:k]))
+    e_max_C = 0.5 * (max(energies[:k]) + energies[k]) / grid.h ** (-mat.rho / (2.0 + mat.p))
+    every = run(u0, RunConfig(t_max=t_max, e_max_C=e_max_C), mat, model)
+    assert every.final.step == 40 and every.final.stop_time == every.records[k].t
+
+    built = []
+    make_record = diagnostics.make_record
+
+    def counting_make_record(*args, **kwargs):
+        built.append(args)
+        return make_record(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "make_record", counting_make_record)
+    thin = run(u0, RunConfig(t_max=t_max, e_max_C=e_max_C, diag_interval=7), mat, model)
+    steps = [0, 7, 14, 21, 28, 35, 40]
+    assert [r.row() for r in thin.records] == [every.records[s].row() for s in steps]
+    assert len(built) == len(steps)
+    assert (thin.sup_R, thin.sup_osc, thin.diss_integral, thin.max_mass_drift) == \
+        (every.sup_R, every.sup_osc, every.diss_integral, every.max_mass_drift)
+    assert np.array_equal(thin.final.u.values, every.final.u.values)
+
+
 def test_noise_off_energy_decreases(mat):
     grid = Grid(16, 16, 1.0, 1.0)
     cfg = RunConfig(t_max=300 * stable_dt(grid, mat))

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from stfe2d.material import (AssumptionError, Material, PositivityError,
                              PowerPairPotential, d2F_mean, elem_mean,
-                             function_mean, mobility_mean)
+                             mobility_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -113,19 +113,9 @@ def test_d2F_mean_degenerate_and_quadrature(mat):
     assert val == pytest.approx(mat.d2F(1.0 + 5e-13), rel=1e-9)
 
 
-def test_custom_mean_is_value_average():
-    # the plain u-average of f(s) = s^2 over [1, 2] is 7/3
-    got = function_mean(lambda s: s**2, 1.0, 2.0,
-                        antiderivative=lambda s: s**3 / 3.0)
-    assert got == pytest.approx(7.0 / 3.0, rel=1e-14)
-    gauss = function_mean(lambda s: s**2, 1.0, 2.0)
-    assert gauss == pytest.approx(7.0 / 3.0, rel=1e-13)
-
-
 def test_elem_mean_dispatch(mat):
     assert elem_mean("inv_Gpp", 1.0, 2.0) == pytest.approx(2.0)
     assert elem_mean("Fpp", 1.0, 1.0, mat=mat) == pytest.approx(66.0)
-    assert elem_mean("custom", 1.0, 2.0, f=lambda s: 2 * s) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         elem_mean("nope", 1.0, 2.0)
     with pytest.raises(PositivityError):
