@@ -32,10 +32,10 @@ class SolverError(RuntimeError):
 def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
     """``np.roll(values, offset, axis)`` along a grid axis by two slices,
     without np.roll's per-call overhead: shift(v, -1, -1)[..., j, i] =
-    v[..., j, i+1] (periodic).  ``axis`` is -1 (x) or -2 (y), or 1 and 0 of
-    a single field; leading (replica) axes ride along."""
-    if axis >= 0:
-        axis -= values.ndim
+    v[..., j, i+1] (periodic).  ``axis`` is -1 (x) or -2 (y); leading
+    (replica) axes ride along."""
+    if axis not in (-1, -2):
+        raise ValueError(f"shift axis must be -1 (x) or -2 (y), got {axis!r}")
     k = -offset % values.shape[axis]
     if axis == -1:
         return np.concatenate((values[..., k:], values[..., :k]), axis=-1)
@@ -71,7 +71,7 @@ def dqy_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# discrete Laplacian / bi-Laplacian
+# discrete Laplacian
 # ---------------------------------------------------------------------------
 
 def lap_x(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -87,10 +87,6 @@ def lap(values: np.ndarray, grid: Grid) -> np.ndarray:
     out = lap_x(values, grid)
     out += lap_y(values, grid)
     return out
-
-
-def bilap(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return lap(lap(values, grid), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +117,6 @@ def lumped_integral(values: np.ndarray, grid: Grid):
 
 def inner_h(a: np.ndarray, b: np.ndarray, grid: Grid):
     return grid.cell_area * node_sum(a * b)
-
-
-def norm_h(a: np.ndarray, grid: Grid) -> float:
-    return np.sqrt(inner_h(a, a, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -214,9 +214,9 @@ def _gauss01(n):
 
 def _corner_stacks(vals: np.ndarray):
     v00 = vals
-    v10 = np.roll(vals, -1, axis=1)
-    v01 = np.roll(vals, -1, axis=0)
-    v11 = np.roll(np.roll(vals, -1, axis=0), -1, axis=1)
+    v10 = fem.shift(vals, -1, -1)
+    v01 = fem.shift(vals, -1, -2)
+    v11 = fem.shift(v01, -1, -1)
     return v00, v10, v01, v11
 
 

@@ -14,12 +14,13 @@ drift, diffusion, and fluxes are all zeroed) and only the clock advances.
 ``em_step`` is the one step implementation.  It advances a stack of
 replicas of one configuration (fields of shape (R, ny, nx), one noise seed
 each) with per-replica step sizes, halvings and stops; ``step_em`` is its
-batch-of-one case.  ``_integrate`` is the one stepping loop: it validates
-the initial field, freezes the replicas whose initial energy reaches the
-threshold, steps until each clock reaches the horizon up to its rounding
-(``time_slack``), and keeps each replica's running monitors (sup R, sup of
-the oscillation ratio before stopping, trapezoidal dissipation integral,
-worst mass drift).  ``run_replicas`` runs it over R seeds; ``run`` runs it
+batch-of-one case.  ``_integrate`` is the one stepping loop: it computes
+the base step and the threshold energy once, validates the initial field,
+freezes the replicas whose initial energy reaches the threshold, steps
+until each clock reaches the horizon up to its rounding (``time_slack``),
+and keeps each replica's running monitors (sup R, sup of the oscillation
+ratio before stopping, trapezoidal dissipation integral, worst mass
+drift).  ``run_replicas`` runs it over R seeds; ``run`` runs it
 over one seed (lead shape ()) and adds what a lone trajectory emits: the
 records, the snapshots, and the abort raised.  Each replica's draws are a
 pure function of (seed, component, k, l, step, attempt), so a replica in a
@@ -222,9 +223,12 @@ class Replicas(NamedTuple):
 
 
 def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
-            ws: NoiseWorkspace, grid: Grid) -> tuple[Replicas, dict]:
+            ws: NoiseWorkspace, grid: Grid, base_dt: float,
+            e_max: float) -> tuple[Replicas, dict]:
     """One Euler-Maruyama step of the ``live`` replicas (a mask of shape
-    lead), all at accepted-step index ``step``.
+    lead), all at accepted-step index ``step``, with the run's constants:
+    the base step ``cfg.base_dt(grid, mat)`` and the threshold energy
+    ``e_max``.
 
     A frozen replica only advances its clock by the full step.  The others
     freeze if their energy already reaches the threshold; otherwise they try
@@ -233,10 +237,8 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
     those that abort, keep their state.  Returns the new states and the
     aborts, {replica index: OverflowAbort | PositivityAbort}.
     """
-    base = cfg.base_dt(grid, mat)
-    dt_full = np.minimum(base, cfg.t_max - reps.t)
-    dt_full = np.where(dt_full > 0.0, dt_full, base)  # past the horizon: a full step
-    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
+    dt_full = np.minimum(base_dt, cfg.t_max - reps.t)
+    dt_full = np.where(dt_full > 0.0, dt_full, base_dt)  # past the horizon: a full step
 
     terms, stopped, stop_time = reps.terms, reps.stopped, reps.stop_time
     pending = live & ~stopped
@@ -300,7 +302,9 @@ def step_em(state: SimState, cfg: RunConfig, mat: Material,
     stop_time = np.nan if state.stop_time is None else state.stop_time
     start = Replicas(state.u.values, np.float64(state.t), np.bool_(state.stopped),
                      np.float64(stop_time), None)
-    new, aborts = em_step(start, state.step, np.True_, cfg, mat, ws, grid)
+    new, aborts = em_step(start, state.step, np.True_, cfg, mat, ws, grid,
+                          cfg.base_dt(grid, mat),
+                          diagnostics.threshold_energy(grid, mat, cfg.e_max_C))
     if aborts:
         raise aborts[()]
     return _state_of(new, (), state.step + 1, grid, state.initial_mass)
@@ -344,11 +348,11 @@ def _integrate(u0: Field, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
     grid = u0.grid
     mass0 = SimState.initial(u0).initial_mass
     u = np.tile(u0.values, (*lead, 1, 1))
-    terms = scheme.state_terms(u, mat, grid)
-    stopped = np.asarray(
-        terms.energy.total >= diagnostics.threshold_energy(grid, mat, cfg.e_max_C))
-    reps = Replicas(u, np.zeros(lead), stopped, np.where(stopped, 0.0, np.nan), terms)
     base_dt = cfg.base_dt(grid, mat)
+    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
+    terms = scheme.state_terms(u, mat, grid)
+    stopped = np.asarray(terms.energy.total >= e_max)
+    reps = Replicas(u, np.zeros(lead), stopped, np.where(stopped, 0.0, np.nan), terms)
     step, steps = 0, np.zeros(lead, dtype=int)
 
     def reached(target):
@@ -368,7 +372,7 @@ def _integrate(u0: Field, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
         visit(reps, step, live, {}, reached, state)
     while live.any():
         prev_t = reps.t
-        reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid)
+        reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, e_max)
         aborts.update(new_aborts)
         for idx in new_aborts:
             live[idx] = False

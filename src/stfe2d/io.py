@@ -80,15 +80,6 @@ def format_diag_row(rec: DiagRecord) -> str:
     return ",".join(cells)
 
 
-def parse_diag_row(line: str) -> DiagRecord:
-    cells = line.strip().split(",")
-    if len(cells) != len(DIAG_COLUMNS):
-        raise ValueError(f"diagnostic row has {len(cells)} cells, "
-                         f"expected {len(DIAG_COLUMNS)}")
-    floats = [float(c) for c in cells[:-1]]
-    return DiagRecord(*floats, stopped=bool(int(cells[-1])))
-
-
 class DiagWriter:
     """Append-only CSV sink; writes the header before the first row."""
 
@@ -117,11 +108,3 @@ class DiagWriter:
     def __exit__(self, *exc):
         self.close()
 
-
-def read_diag_csv(path) -> list[DiagRecord]:
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines:
-        return []
-    if lines[0] != ",".join(DIAG_COLUMNS):
-        raise ValueError(f"unexpected diagnostics header: {lines[0]!r}")
-    return [parse_diag_row(ln) for ln in lines[1:] if ln]

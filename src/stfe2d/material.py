@@ -184,13 +184,3 @@ def d2F_mean(mat: Material, a, b):
     out = np.where(near, mat.d2F(0.5 * (a + b)), dd)
     return out if out.shape else float(out)
 
-
-def elem_mean(kind: str, a, b, mat: Material | None = None):
-    """Edge-mean dispatch: 'inv_Gpp' (mobility weight) or 'Fpp'."""
-    if kind == "inv_Gpp":
-        return mobility_mean(a, b)
-    if kind == "Fpp":
-        if mat is None:
-            raise ValueError("Fpp mean needs a Material")
-        return d2F_mean(mat, a, b)
-    raise ValueError(f"unknown elem_mean kind {kind!r}")

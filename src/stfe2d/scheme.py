@@ -3,13 +3,15 @@
 With the diagonal lumped mass matrix (entry hx*hy at every node) the weak
 relations collapse to pointwise formulas:
 
-  pressure   p = chi * [ -lap_h(u) + F'(u) + h^eps * lap_h(lap_h(u)) ]
-  drift      L = chi * [ d-_x( M_x d+_x p ) + d-_y( M_y d+_y p ) ]
+  pressure   p = -lap_h(u) + F'(u) + h^eps * lap_h(lap_h(u))
+  drift      L = d-_x( M_x d+_x p ) + d-_y( M_y d+_y p )
 
-where d+/d- are forward/backward difference quotients, M_x, M_y are the
-entropy-consistent mobility means on edges, and chi = 0 after the energy
-threshold has been hit.  The drift is a divergence of edge fluxes, so its
-nodal sum telescopes to zero: mass is conserved exactly.
+where d+/d- are forward/backward difference quotients and M_x, M_y are
+the entropy-consistent mobility means on edges.  The drift is a divergence
+of edge fluxes, so its nodal sum telescopes to zero: mass is conserved
+exactly.  The freeze at the energy threshold (the paper's chi = 0) lives in
+``integrator.em_step``, which stops stepping a frozen state, so these
+functions evaluate the running dynamics only.
 
 The noise operator applies, for a coefficient field w in the FE space,
 
@@ -110,15 +112,8 @@ def _pressure(u: np.ndarray, lap_u: np.ndarray, mat: Material, grid: Grid) -> np
     return p
 
 
-def pressure_values(u: np.ndarray, mat: Material, grid: Grid,
-                    stopped: bool = False) -> np.ndarray:
-    if stopped:
-        return np.zeros_like(u)
+def pressure_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
     return _pressure(u, fem.lap(u, grid), mat, grid)
-
-
-def compute_pressure(u: Field, mat: Material, stopped: bool = False) -> Field:
-    return u.with_values(pressure_values(u.values, mat, u.grid, stopped))
 
 
 def state_terms(u: np.ndarray, mat: Material, grid: Grid) -> StateTerms:
@@ -181,17 +176,12 @@ def _drift_and_dissipation(u: np.ndarray, mat: Material, grid: Grid):
     return edge_fluxes(u, fem.shift(u, -1, -1), fem.shift(u, -1, -2), p, grid)
 
 
-def drift_values(u: np.ndarray, mat: Material, grid: Grid,
-                 stopped: bool = False) -> np.ndarray:
-    if stopped:
-        return np.zeros_like(u)
+def drift_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
     return _drift_and_dissipation(u, mat, grid)[0]
 
 
-def dissipation(u: Field, mat: Material, stopped: bool = False) -> tuple[float, float]:
+def dissipation(u: Field, mat: Material) -> tuple[float, float]:
     """Mobility-weighted squared pressure gradients (x and y parts)."""
-    if stopped:
-        return 0.0, 0.0
     _, diss_x, diss_y = _drift_and_dissipation(u.values, mat, u.grid)
     return diss_x, diss_y
 
@@ -217,10 +207,8 @@ def z_apply_y(u: np.ndarray, w: np.ndarray, grid: Grid,
 
 
 def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,
-                     stopped: bool = False, du_x: np.ndarray | None = None,
+                     du_x: np.ndarray | None = None,
                      du_y: np.ndarray | None = None) -> np.ndarray:
     """Noise increment Z_x(u; w_x) + Z_y(u; w_y); ``du_x``, ``du_y`` are the
     neighbor differences of u from its ``StateTerms``, formed here if absent."""
-    if stopped:
-        return np.zeros_like(u)
     return z_apply_x(u, wx, grid, du_x) + z_apply_y(u, wy, grid, du_y)

@@ -508,6 +508,30 @@ def test_run_evaluates_the_state_kernel_once_per_accepted_state(mat, monkeypatch
     assert len(calls) == 1
 
 
+def test_run_constants_are_computed_once(mat, monkeypatch):
+    # the base step and the threshold energy are constants of a run: the
+    # stepping loop computes them up front, not once per step
+    from stfe2d import integrator
+    grid = Grid(16, 16, 1.0, 1.0)
+    cfg = RunConfig(t_max=25 * stable_dt(grid, mat))
+    calls = {"stable_dt": 0, "threshold_energy": 0}
+
+    def counting(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(integrator, "stable_dt")
+    counting(diagnostics, "threshold_energy")
+    res = run(cosine_film(grid), cfg, mat, NoiseModel(PowerLawSchedule(lambda0=0.1), seed=4))
+    assert res.final.step == 25
+    assert 1 <= calls["stable_dt"] <= 2
+    assert 1 <= calls["threshold_energy"] <= 2
+
+
 def test_run_replicas_equal_lone_runs_bit_for_bit(mat):
     # one stack mixing plain runs, threshold stops, halved steps and a
     # positivity abort; every replica must be its lone run exactly

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from stfe2d.material import (AssumptionError, Material, PositivityError,
-                             PowerPairPotential, d2F_mean, elem_mean,
-                             mobility_mean)
+                             PowerPairPotential, d2F_mean, mobility_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +88,8 @@ def test_d2G_is_reciprocal_mobility(mat, u):
 
 def test_mobility_mean_degenerate_interval():
     assert mobility_mean(3.0, 3.0) == pytest.approx(9.0, rel=1e-15)
+    with pytest.raises(PositivityError):
+        mobility_mean(-1.0, 2.0)
 
 
 def test_mobility_mean_is_reciprocal_of_averaged_d2G():
@@ -111,15 +112,6 @@ def test_d2F_mean_degenerate_and_quadrature(mat):
     # near-degenerate falls back to the midpoint value
     val = d2F_mean(mat, 1.0, 1.0 + 1e-12)
     assert val == pytest.approx(mat.d2F(1.0 + 5e-13), rel=1e-9)
-
-
-def test_elem_mean_dispatch(mat):
-    assert elem_mean("inv_Gpp", 1.0, 2.0) == pytest.approx(2.0)
-    assert elem_mean("Fpp", 1.0, 1.0, mat=mat) == pytest.approx(66.0)
-    with pytest.raises(ValueError):
-        elem_mean("nope", 1.0, 2.0)
-    with pytest.raises(PositivityError):
-        elem_mean("inv_Gpp", -1.0, 2.0)
 
 
 @settings(max_examples=60, deadline=None)

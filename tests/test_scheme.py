@@ -59,14 +59,8 @@ def test_mobility_rejects_nonpositive(mat, grid44):
 # ---------------------------------------------------------------------------
 
 def test_pressure_constant_film(mat, grid65):
-    p = scheme.compute_pressure(Field.constant(grid65, 1.0), mat)
-    assert np.allclose(p.values, -6.0, rtol=1e-13)
-
-
-def test_pressure_stopped_is_zero(mat, rng, grid65):
-    u = positive_field(rng, grid65)
-    p = scheme.compute_pressure(u, mat, stopped=True)
-    assert np.all(p.values == 0.0)
+    p = scheme.pressure_values(Field.constant(grid65, 1.0).values, mat, grid65)
+    assert np.allclose(p, -6.0, rtol=1e-13)
 
 
 def test_pressure_weak_form_against_dense(mat, rng):
@@ -74,7 +68,7 @@ def test_pressure_weak_form_against_dense(mat, rng):
     worst = 0.0
     for _ in range(10):
         u = near_unity_field(rng, grid)
-        p = scheme.compute_pressure(u, mat)
+        p = u.with_values(scheme.pressure_values(u.values, mat, grid))
         worst = max(worst, oracle.dense_weak_residual(u, p, mat))
     assert worst <= 1e-12
 
@@ -102,12 +96,7 @@ def test_drift_conserves_mass(mat, rng, grid65):
         u = positive_field(rng, grid65)
         L = scheme.drift_values(u.values, mat, grid65)
         total = abs(L.sum()) * grid65.cell_area
-        assert total <= 1e-12 * fem.norm_h(L, grid65)
-
-
-def test_drift_stopped_is_zero(mat, rng, grid65):
-    u = positive_field(rng, grid65)
-    assert np.all(scheme.drift_values(u.values, mat, grid65, stopped=True) == 0.0)
+        assert total <= 1e-12 * np.sqrt(fem.inner_h(L, L, grid65))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +134,7 @@ def test_diffusion_conserves_mass(rng, grid65):
     u = positive_field(rng, grid65)
     w = basis_eval(2, -1, grid65).values
     out = scheme.z_apply_x(u.values, w, grid65) + scheme.z_apply_y(u.values, w, grid65)
-    assert abs(out.sum()) * grid65.cell_area <= 1e-12 * fem.norm_h(out, grid65)
+    assert abs(out.sum()) * grid65.cell_area <= 1e-12 * np.sqrt(fem.inner_h(out, out, grid65))
 
 
 def test_diffusion_is_linear_in_coefficient_field(rng, grid65):
@@ -217,9 +206,6 @@ def test_stacked_kernel_and_noise_equal_each_field(rng):
 
 def test_stopped_zeroes_everything(mat, rng, grid65):
     u = positive_field(rng, grid65)
-    assert np.all(scheme.compute_pressure(u, mat, stopped=True).values == 0.0)
-    assert np.all(scheme.drift_values(u.values, mat, grid65, stopped=True) == 0.0)
-    assert scheme.dissipation(u, mat, stopped=True) == (0.0, 0.0)
     rec = diagnostics.make_record(u, mat, t=0.0, stopped=True)
     assert rec.diss_x == 0.0 and rec.diss_y == 0.0
 
