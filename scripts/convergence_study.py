@@ -3,18 +3,17 @@
 
 import argparse
 
-from stfe2d.cli import _CONVERGE_LEVELS as LEVELS
-from stfe2d.harness import refinement_study
+from stfe2d.harness import STUDIES, refinement_study
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--study", choices=sorted(LEVELS), default=None,
+    ap.add_argument("--study", choices=sorted(STUDIES), default=None,
                     help="run a single study (default: all)")
     args = ap.parse_args()
 
-    for kind in ([args.study] if args.study else LEVELS):
-        table = refinement_study(kind, LEVELS[kind])
+    for kind in ([args.study] if args.study else STUDIES):
+        table = refinement_study(kind, STUDIES[kind].levels)
         print(f"\n== {kind} ==")
         header = "h".ljust(12) + "".join(m.rjust(14) for m in table.metric_names)
         print(header)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import io as sio
 from .config import ConfigError, assemble, load_config
-from .harness import refinement_study
+from .harness import STUDIES, refinement_study
 from .integrator import SimulationAbort, run
 from .oracle import run_checks
 
@@ -78,14 +78,6 @@ def cmd_check(args, out=None) -> int:
     return EXIT_OK if ok else EXIT_CHECK
 
 
-_CONVERGE_LEVELS = {
-    "interp": (8, 16, 32, 64, 128),
-    "laplacian_eig": (8, 16, 32, 64),
-    "ritz": (8, 16, 32, 64),
-    "noise_b3star": (8, 16, 32, 64, 128),
-}
-
-
 def cmd_converge(args, out=None) -> int:
     out = out or sys.stdout
     bundle = _load_bundle(args.config, out)
@@ -95,14 +87,14 @@ def cmd_converge(args, out=None) -> int:
     path = bundle.out_dir / f"{bundle.prefix}_rates.csv"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("study,metric,h,value\n")
-        for kind, ns in _CONVERGE_LEVELS.items():
-            table = refinement_study(kind, ns, Lx=bundle.grid.Lx, Ly=bundle.grid.Ly,
+        for kind, study in STUDIES.items():
+            table = refinement_study(kind, study.levels, Lx=bundle.grid.Lx, Ly=bundle.grid.Ly,
                                      model=bundle.noise, eps=bundle.material.eps)
-            for study, metric, h, value in table.rows():
-                fh.write(f"{study},{metric},{h:.17g},{value:.17g}\n")
+            for _, metric, h, value in table.rows():
+                fh.write(f"{kind},{metric},{h:.17g},{value:.17g}\n")
             for metric, slope in table.slopes.items():
                 if slope is not None:
-                    fh.write(f"{study},{metric}_slope,0,{slope:.17g}\n")
+                    fh.write(f"{kind},{metric}_slope,0,{slope:.17g}\n")
                     print(f"{kind}/{metric}: slope {slope:.3f}", file=out)
     print(f"rate table: {path}", file=out)
     return EXIT_OK

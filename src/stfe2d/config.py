@@ -68,10 +68,14 @@ def _check_unknown(data: dict, violations: list):
                     violations.append(f"unknown key material.potential.{key}")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_config(path) -> Config:
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["top-level configuration must be an object"])

@@ -16,13 +16,8 @@ applied to backward difference quotients.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .grid import Field, Grid
-
-
-class SolverError(RuntimeError):
-    """Internal linear-solver failure (should not happen on gauged systems)."""
 
 
 # ---------------------------------------------------------------------------
@@ -151,32 +146,10 @@ def dirichlet_y(f: np.ndarray, g: np.ndarray, grid: Grid,
 _GAUSS_N = 8
 
 
-def _gauss_rule(a: float, b: float, n: int = _GAUSS_N):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (a + b) + 0.5 * (b - a) * t, 0.5 * (b - a) * w
-
-
-def stiffness_apply(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Action of the consistent bilinear stiffness matrix (true grad-grad form).
-
-    Tensor structure K = Kx (x) My + Mx (x) Ky with 1D P1 stiffness
-    (1/h)[-1, 2, -1] and consistent mass (h/6)[1, 4, 1], both periodic.
-    """
-    hx, hy = grid.hx, grid.hy
-
-    def kx(v):
-        return (2.0 * v - shift(v, -1, -1) - shift(v, 1, -1)) / hx
-
-    def ky(v):
-        return (2.0 * v - shift(v, -1, -2) - shift(v, 1, -2)) / hy
-
-    def mx(v):
-        return hx / 6.0 * (shift(v, -1, -1) + 4.0 * v + shift(v, 1, -1))
-
-    def my(v):
-        return hy / 6.0 * (shift(v, -1, -2) + 4.0 * v + shift(v, 1, -2))
-
-    return my(kx(values)) + mx(ky(values))
+def _gauss_rule(h: float):
+    """Gauss-Legendre points and weights on (0, h)."""
+    t, w = np.polynomial.legendre.leggauss(_GAUSS_N)
+    return 0.5 * h * (t + 1.0), 0.5 * h * w
 
 
 def _ritz_rhs(grid: Grid, f) -> np.ndarray:
@@ -191,87 +164,66 @@ def _ritz_rhs(grid: Grid, f) -> np.ndarray:
     Only the transverse hat integral needs quadrature (Gauss per y-element,
     exact once f restricted to a grid line is piecewise polynomial of
     moderate degree).  The y-part mirrors this along horizontal lines.
+    Each part evaluates f once, on all lines and elements together.
     """
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    b = np.zeros((ny, nx))
+    x, y = grid.node_coords()
+    hx, hy = grid.hx, grid.hy
+    tx, wx = _gauss_rule(hx)
+    ty, wy = _gauss_rule(hy)
 
-    # x-part: loop vertical lines x = x_i; scatter +2/hx to node column i
-    # and -1/hx to columns i-1, i+1 (telescoped df/dx integral).
-    ty, wy = _gauss_rule(0.0, hy)
-    for jseg in range(ny):  # y-element (jseg, jseg+1)
-        ys = jseg * hy + ty
-        phi0 = 1.0 - ty / hy  # hat at node jseg along this element
-        phi1 = ty / hy        # hat at node jseg+1
-        for iline in range(nx):
-            xv = iline * hx
-            fv = f(xv, ys)
-            s0 = float(np.dot(wy, fv * phi0))
-            s1 = float(np.dot(wy, fv * phi1))
-            b[jseg, iline] += (s0 / hx) * 2.0
-            b[(jseg + 1) % ny, iline] += (s1 / hx) * 2.0
-            b[jseg, (iline - 1) % nx] -= s0 / hx
-            b[(jseg + 1) % ny, (iline - 1) % nx] -= s1 / hx
-            b[jseg, (iline + 1) % nx] -= s0 / hx
-            b[(jseg + 1) % ny, (iline + 1) % nx] -= s1 / hx
+    def line_loads(vals, t, w, h, axis):
+        # hat integrals of f along each element (last axis: Gauss points),
+        # summed onto the element's two end nodes along ``axis``
+        s0 = vals @ (w * (1.0 - t / h))
+        s1 = vals @ (w * (t / h))
+        return s0 + shift(s1, 1, axis)
 
-    # y-part, mirrored
-    tx, wx = _gauss_rule(0.0, hx)
-    for iseg in range(nx):
-        xs = iseg * hx + tx
-        phi0 = 1.0 - tx / hx
-        phi1 = tx / hx
-        for jline in range(ny):
-            yv = jline * hy
-            fv = f(xs, yv)
-            s0 = float(np.dot(wx, fv * phi0))
-            s1 = float(np.dot(wx, fv * phi1))
-            b[jline, iseg] += (s0 / hy) * 2.0
-            b[jline, (iseg + 1) % nx] += (s1 / hy) * 2.0
-            b[(jline - 1) % ny, iseg] -= s0 / hy
-            b[(jline - 1) % ny, (iseg + 1) % nx] -= s1 / hy
-            b[(jline + 1) % ny, iseg] -= s0 / hy
-            b[(jline + 1) % ny, (iseg + 1) % nx] -= s1 / hy
+    def telescope(e, h, axis):
+        return (2.0 * e - shift(e, -1, axis) - shift(e, 1, axis)) / h
 
+    # x-part: f on the vertical lines x = x_i at the Gauss points of each
+    # y-element; y-part mirrored on the horizontal lines y = y_j
+    fx = np.broadcast_to(f(x[..., None], y[..., None] + ty), (grid.ny, grid.nx, _GAUSS_N))
+    fy = np.broadcast_to(f(x[..., None] + tx, y[..., None]), (grid.ny, grid.nx, _GAUSS_N))
+    b = telescope(line_loads(fx, ty, wy, hy, -2), hx, -1)
+    b += telescope(line_loads(fy, tx, wx, hx, -1), hy, -2)
     return b
 
 
-def integrate_function(grid: Grid, f, n_gauss: int = _GAUSS_N) -> float:
-    """Tensor Gauss quadrature of a callable over the whole domain."""
-    tx, wx = _gauss_rule(0.0, grid.hx, n_gauss)
-    ty, wy = _gauss_rule(0.0, grid.hy, n_gauss)
-    total = 0.0
-    for jc in range(grid.ny):
-        ys = jc * grid.hy + ty
-        for ic in range(grid.nx):
-            xs = ic * grid.hx + tx
-            vals = np.broadcast_to(np.asarray(f(xs[None, :], ys[:, None]), dtype=float),
-                                   (len(ty), len(tx)))
-            total += float(wy @ vals @ wx)
-    return total
+def integrate_function(grid: Grid, f) -> float:
+    """Tensor Gauss quadrature of a callable over the whole domain.
+
+    ``f(x, y)`` is called once on broadcastable coordinate arrays holding
+    the Gauss points of every cell, so it must act elementwise on arrays.
+    """
+    tx, wx = _gauss_rule(grid.hx)
+    ty, wy = _gauss_rule(grid.hy)
+    x, y = grid.node_coords()
+    # axes (cell row, y point, cell column, x point)
+    vals = np.broadcast_to(f((x[..., None] + tx)[:, None], (y + ty)[..., None, None]),
+                           (grid.ny, _GAUSS_N, grid.nx, _GAUSS_N))
+    return float(np.einsum("jqir,q,r->", vals, wy, wx))
 
 
-def ritz_projection(grid: Grid, f, tol: float = 1e-13) -> Field:
+def ritz_projection(grid: Grid, f) -> Field:
     """H1-projection onto the FE space with matching mean.
 
     Solves the periodic consistent-stiffness system for the gradient match
     against all test functions, gauged by zero mean, then shifts so the
-    integral equals the integral of f.  CG on the zero-mean subspace with
-    relative residual ``tol`` (kept a decade below the 1e-12 the projection
-    itself is expected to honor), at most 10*nx*ny iterations.
+    integral equals the integral of f.  The stiffness K = Kx (x) My +
+    Mx (x) Ky, with 1D P1 stiffness (1/h)[-1, 2, -1] and consistent mass
+    (h/6)[1, 4, 1], is circulant, so the 2D DFT diagonalizes it; its symbol
+    vanishes only on the constant mode, which the gauge sets to zero.
+    ``f(x, y)`` must act elementwise on broadcastable arrays.
     """
-    b = _ritz_rhs(grid, f)
-    b -= b.mean()  # gauge (analytically zero-sum; remove quadrature roundoff)
-    n = grid.n_nodes
-
-    def matvec(v):
-        z = stiffness_apply(v.reshape(grid.ny, grid.nx), grid)
-        return (z - z.mean()).ravel()
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    sol, info = cg(op, b.ravel(), rtol=tol, atol=0.0, maxiter=10 * n)
-    if info != 0:
-        raise SolverError(f"CG on the gauged stiffness system failed (info={info})")
-    z = sol.reshape(grid.ny, grid.nx)
-    z -= z.mean()
+    hx, hy = grid.hx, grid.hy
+    cx = np.cos(2.0 * np.pi * np.fft.rfftfreq(grid.nx))
+    cy = np.cos(2.0 * np.pi * np.fft.fftfreq(grid.ny))[:, None]
+    symbol = ((2.0 - 2.0 * cx) / hx * hy * (4.0 + 2.0 * cy) / 6.0
+              + hx * (4.0 + 2.0 * cx) / 6.0 * (2.0 - 2.0 * cy) / hy)
+    symbol[0, 0] = 1.0
+    z_hat = np.fft.rfft2(_ritz_rhs(grid, f)) / symbol
+    z_hat[0, 0] = 0.0
+    z = np.fft.irfft2(z_hat, s=(grid.ny, grid.nx))
     mean_f = integrate_function(grid, f) / (grid.Lx * grid.Ly)
     return Field(grid, z + mean_f)

@@ -29,12 +29,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fem
 from .config import Config, assemble
-from .grid import Field, Grid
+from .grid import Grid
 from .integrator import SimulationAbort, run, run_replicas
 from .noise import NoiseModel, PowerLawSchedule, b3star_monitor
 
@@ -148,6 +149,8 @@ def mc_ensemble(cfg: Config, n_replicas: int, max_workers: int | None = None,
                 p_bar: float = 1.0) -> EnsembleSummary:
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError("max_workers must be >= 1")
     workers = min(worker_cap() if max_workers is None else max_workers, n_replicas)
     size = chunk_size(n_replicas, workers, assemble(cfg).grid.n_nodes)
     firsts = range(0, n_replicas, size)
@@ -231,177 +234,124 @@ def _bilinear_on_gauss(vals, ga, gb):
             + v01 * (1 - a) * b + v11 * a * b)
 
 
-def interp_error_x(f: Field, g: Field, n_gauss: int = 4) -> tuple[float, float]:
+def _interp_level(grid: Grid, model, eps, k) -> dict:
     """L2 norms of (I - I_h^x){f_h g_h} and of its x-derivative.
 
     The product of two bilinear nodal interpolants is quadratic per cell in
     each variable; subtracting its x-interpolant leaves a per-cell
     polynomial integrated exactly by tensor Gauss quadrature.
     """
-    grid = f.grid
-    ga, wa = _gauss01(n_gauss)
-    gb, wb = _gauss01(n_gauss)
-    fv = _bilinear_on_gauss(f.values, ga, gb)
-    gv = _bilinear_on_gauss(g.values, ga, gb)
+    x, y = grid.node_coords()
+    f = np.sin(2 * np.pi * x / grid.Lx) * np.cos(2 * np.pi * y / grid.Ly) + 2.0
+    g = np.cos(4 * np.pi * x / grid.Lx) * np.sin(2 * np.pi * y / grid.Ly) + 3.0
+    ga, wa = _gauss01(4)
+    fv = _bilinear_on_gauss(f, ga, ga)
+    gv = _bilinear_on_gauss(g, ga, ga)
     prod = fv * gv
 
     # x-interpolant: linear in a between the end-line values of the product
-    f0 = _bilinear_on_gauss(f.values, np.array([0.0]), gb)
-    f1 = _bilinear_on_gauss(f.values, np.array([1.0]), gb)
-    g0 = _bilinear_on_gauss(g.values, np.array([0.0]), gb)
-    g1 = _bilinear_on_gauss(g.values, np.array([1.0]), gb)
-    p0 = f0 * g0
-    p1 = f1 * g1
+    fe, ge = (_bilinear_on_gauss(v, np.array([0.0, 1.0]), ga) for v in (f, g))
+    p0, p1 = fe[..., :1] * ge[..., :1], fe[..., 1:] * ge[..., 1:]
     a = ga[None, None, None, :]
     interp = p0 * (1 - a) + p1 * a
     diff = prod - interp
 
     # d/dx = (1/hx) d/da of both pieces
-    f00, f10, f01, f11 = (v[:, :, None, None] for v in _corner_stacks(f.values))
-    g00, g10, g01, g11 = (v[:, :, None, None] for v in _corner_stacks(g.values))
-    b = gb[None, None, :, None]
+    f00, f10, f01, f11 = (v[:, :, None, None] for v in _corner_stacks(f))
+    g00, g10, g01, g11 = (v[:, :, None, None] for v in _corner_stacks(g))
+    b = ga[None, None, :, None]
     dfa = (f10 - f00) * (1 - b) + (f11 - f01) * b
     dga = (g10 - g00) * (1 - b) + (g11 - g01) * b
     dprod = dfa * gv + fv * dga
     dinterp = (p1 - p0) * np.ones_like(a)
     ddiff = (dprod - dinterp) / grid.hx
 
-    w2 = wb[None, None, :, None] * wa[None, None, None, :]
+    w2 = wa[None, None, :, None] * wa[None, None, None, :]
     cell = grid.cell_area
-    err0 = np.sqrt(cell * float((diff**2 * w2).sum()))
-    err1 = np.sqrt(cell * float((ddiff**2 * w2).sum()))
-    return err0, err1
+    return {"l2": np.sqrt(cell * float((diff**2 * w2).sum())),
+            "dx_l2": np.sqrt(cell * float((ddiff**2 * w2).sum()))}
 
 
-def _interp_study(ns, Lx, Ly):
-    def f_fun(x, y):
-        return np.sin(2 * np.pi * x / Lx) * np.cos(2 * np.pi * y / Ly) + 2.0
-
-    def g_fun(x, y):
-        return np.cos(4 * np.pi * x / Lx) * np.sin(2 * np.pi * y / Ly) + 3.0
-
-    hs, e0s, e1s = [], [], []
-    for n in ns:
-        grid = Grid(n, n, Lx, Ly)
-        e0, e1 = interp_error_x(Field.from_function(grid, f_fun),
-                                Field.from_function(grid, g_fun))
-        hs.append(grid.hx)
-        e0s.append(e0)
-        e1s.append(e1)
-    return RateTable(
-        kind="interp",
-        metric_names=("l2", "dx_l2"),
-        hs=tuple(hs),
-        errors={"l2": tuple(e0s), "dx_l2": tuple(e1s)},
-        slopes={"l2": _fit_slope(hs, e0s), "dx_l2": _fit_slope(hs, e1s)},
-    )
-
-
-def laplacian_eigenvalue(grid: Grid, k: int) -> tuple[float, float]:
-    """(discrete eigenvalue of the cosine mode, continuum eigenvalue)."""
+def _laplacian_level(grid: Grid, model, eps, k) -> dict:
+    """Error of the discrete eigenvalue of the cosine mode k against the
+    continuum one, and the stencil's deviation from it on the nodal mode."""
+    x, y = grid.node_coords()
+    u = np.cos(2 * np.pi * k * x / grid.Lx) + 0.0 * y
     mu_h = -(4.0 / grid.hx**2) * np.sin(np.pi * k * grid.hx / grid.Lx) ** 2
     mu = -((2.0 * np.pi * k / grid.Lx) ** 2)
-    return mu_h, mu
+    dev = float(np.abs(fem.lap(u, grid) - mu_h * u).max()) / abs(mu_h)
+    return {"eig_err": abs(mu_h - mu), "stencil_dev": dev}
 
 
-def _laplacian_study(ns, Lx, Ly, k: int = 1):
-    hs, errs, devs = [], [], []
-    for n in ns:
-        grid = Grid(n, n, Lx, Ly)
-        u = Field.from_function(grid, lambda x, y: np.cos(2 * np.pi * k * x / Lx)
-                                + 0.0 * y)
-        mu_h, mu = laplacian_eigenvalue(grid, k)
-        lap_u = fem.lap(u.values, grid)
-        dev = float(np.abs(lap_u - mu_h * u.values).max()) / abs(mu_h)
-        hs.append(grid.hx)
-        errs.append(abs(mu_h - mu))
-        devs.append(dev)
-    return RateTable(
-        kind="laplacian_eig",
-        metric_names=("eig_err", "stencil_dev"),
-        hs=tuple(hs),
-        errors={"eig_err": tuple(errs), "stencil_dev": tuple(devs)},
-        slopes={"eig_err": _fit_slope(hs, errs), "stencil_dev": None},
-    )
+def _ritz_level(grid: Grid, model, eps, k) -> dict:
+    """L2 and H1-seminorm errors of the gradient-matching projection of
+    f = sin(2 pi x / Lx)."""
+    def f(x, y):
+        return np.sin(2 * np.pi * x / grid.Lx) + 0.0 * y
 
-
-def ritz_errors(grid: Grid, f, dfx, dfy, n_gauss: int = 6) -> tuple[float, float]:
-    """L2 and H1-seminorm errors of the gradient-matching projection of f."""
-    proj = fem.ritz_projection(grid, f)
-    ga, wa = _gauss01(n_gauss)
-    gb, wb = _gauss01(n_gauss)
-    pv = _bilinear_on_gauss(proj.values, ga, gb)
-    v00, v10, v01, v11 = (v[:, :, None, None] for v in _corner_stacks(proj.values))
+    proj = fem.ritz_projection(grid, f).values
+    ga, wa = _gauss01(6)
+    pv = _bilinear_on_gauss(proj, ga, ga)
+    v00, v10, v01, v11 = (v[:, :, None, None] for v in _corner_stacks(proj))
     a = ga[None, None, None, :]
-    b = gb[None, None, :, None]
+    b = ga[None, None, :, None]
     dpa = ((v10 - v00) * (1 - b) + (v11 - v01) * b) / grid.hx
     dpb = ((v01 - v00) * (1 - a) + (v11 - v10) * a) / grid.hy
 
     x = (np.arange(grid.nx)[None, :, None, None] + a) * grid.hx
     y = (np.arange(grid.ny)[:, None, None, None] + b) * grid.hy
-    w2 = wb[None, None, :, None] * wa[None, None, None, :]
+    dfx = (2 * np.pi / grid.Lx) * np.cos(2 * np.pi * x / grid.Lx)
+    w2 = wa[None, None, :, None] * wa[None, None, None, :]
     cell = grid.cell_area
-    el2 = np.sqrt(cell * float(((f(x, y) - pv) ** 2 * w2).sum()))
-    eh1 = np.sqrt(cell * float((((dfx(x, y) - dpa) ** 2
-                                 + (dfy(x, y) - dpb) ** 2) * w2).sum()))
-    return el2, eh1
+    return {"l2": np.sqrt(cell * float(((f(x, y) - pv) ** 2 * w2).sum())),
+            "h1": np.sqrt(cell * float((((dfx - dpa) ** 2 + dpb ** 2) * w2).sum()))}
 
 
-def _ritz_study(ns, Lx, Ly):
-    def f(x, y):
-        return np.sin(2 * np.pi * x / Lx) + 0.0 * y
-
-    def dfx(x, y):
-        return (2 * np.pi / Lx) * np.cos(2 * np.pi * x / Lx) + 0.0 * y
-
-    def dfy(x, y):
-        return 0.0 * x + 0.0 * y
-
-    hs, l2s, h1s = [], [], []
-    for n in ns:
-        grid = Grid(n, n, Lx, Ly)
-        el2, eh1 = ritz_errors(grid, f, dfx, dfy)
-        hs.append(grid.hx)
-        l2s.append(el2)
-        h1s.append(eh1)
-    return RateTable(
-        kind="ritz",
-        metric_names=("l2", "h1"),
-        hs=tuple(hs),
-        errors={"l2": tuple(l2s), "h1": tuple(h1s)},
-        slopes={"l2": _fit_slope(hs, l2s), "h1": _fit_slope(hs, h1s)},
-    )
+def _b3star_level(grid: Grid, model, eps, k) -> dict:
+    return {"monitor": b3star_monitor(model, grid.h, eps)}
 
 
-def _b3star_study(ns, Lx, Ly, model: NoiseModel | None, eps: float):
-    if model is None:
-        model = NoiseModel(PowerLawSchedule())
-    hs, vals = [], []
-    for n in ns:
-        grid = Grid(n, n, Lx, Ly)
-        hs.append(grid.h)
-        vals.append(b3star_monitor(model, grid.h, eps))
-    return RateTable(
-        kind="noise_b3star",
-        metric_names=("monitor",),
-        hs=tuple(hs),
-        errors={"monitor": tuple(vals)},
-        slopes={"monitor": None},
-    )
+class Study(NamedTuple):
+    """One refinement study: a row of ``STUDIES``."""
+
+    level: Callable[..., dict]  # (grid, model, eps, k) -> {metric: error} on one grid
+    fitted: tuple               # metrics that get a fitted log-log slope
+    mesh: str                   # Grid attribute reported as the level's h
+    levels: tuple               # default sizes n of the n x n grids
+
+
+STUDIES = {
+    "interp": Study(_interp_level, ("l2", "dx_l2"), "hx", (8, 16, 32, 64, 128)),
+    "laplacian_eig": Study(_laplacian_level, ("eig_err",), "hx", (8, 16, 32, 64)),
+    "ritz": Study(_ritz_level, ("l2", "h1"), "hx", (8, 16, 32, 64)),
+    "noise_b3star": Study(_b3star_level, (), "h", (8, 16, 32, 64, 128)),
+}
 
 
 def refinement_study(kind: str, ns, Lx: float = 1.0, Ly: float = 1.0,
                      model: NoiseModel | None = None, eps: float = 1.0,
                      k: int = 1) -> RateTable:
+    """Study ``kind`` on the n x n grids of (0,Lx) x (0,Ly), n in ``ns``;
+    ``model`` defaults to the default power-law noise."""
     ns = list(ns)
     if len(ns) < 3:
         raise ValueError("refinement study needs at least 3 levels")
-    if kind == "interp":
-        return _interp_study(ns, Lx, Ly)
-    if kind == "laplacian_eig":
-        return _laplacian_study(ns, Lx, Ly, k)
-    if kind == "ritz":
-        return _ritz_study(ns, Lx, Ly)
-    if kind == "noise_b3star":
-        return _b3star_study(ns, Lx, Ly, model, eps)
-    raise ValueError(f"unknown refinement study {kind!r}")
+    if kind not in STUDIES:
+        raise ValueError(f"unknown refinement study {kind!r}")
+    study = STUDIES[kind]
+    if model is None:
+        model = NoiseModel(PowerLawSchedule())
+    hs, rows = [], []
+    for n in ns:
+        grid = Grid(n, n, Lx, Ly)
+        hs.append(getattr(grid, study.mesh))
+        rows.append(study.level(grid, model, eps, k))
+    errors = {m: tuple(row[m] for row in rows) for m in rows[0]}
+    return RateTable(
+        kind=kind,
+        metric_names=tuple(errors),
+        hs=tuple(hs),
+        errors=errors,
+        slopes={m: _fit_slope(hs, errs) if m in study.fitted else None
+                for m, errs in errors.items()},
+    )

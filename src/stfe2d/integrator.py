@@ -98,20 +98,19 @@ class RunConfig:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.t_max < 0:
-            raise ValueError("t_max must be nonnegative")
-        if self.dt is not None and not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if self.e_max_C <= 0:
-            raise ValueError("e_max_C must be positive")
-        if self.u_floor <= 0:
-            raise ValueError("u_floor must be positive")
+        # a NaN passes every ordering test, so finiteness is checked first
+        if not (math.isfinite(self.t_max) and self.t_max >= 0):
+            raise ValueError("t_max must be finite and nonnegative")
+        for name in ("dt", "e_max_C", "u_floor", "alpha", "kappa"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if not (0 <= self.max_halvings < noise.ATTEMPT_SLOTS - 1):
             raise ValueError(f"max_halvings must lie in [0, {noise.ATTEMPT_SLOTS - 2}]")
         if self.diag_interval < 1:
             raise ValueError("diag_interval must be >= 1")
-        if any(t < 0 for t in self.snapshot_times):
-            raise ValueError("snapshot times must be nonnegative")
+        if not all(math.isfinite(t) and t >= 0 for t in self.snapshot_times):
+            raise ValueError("snapshot times must be finite and nonnegative")
 
     def base_dt(self, grid: Grid, mat: Material) -> float:
         return self.dt if self.dt is not None else stable_dt(grid, mat)

@@ -47,10 +47,13 @@ def parse_snapshot_header(line: str) -> tuple[int, int, float, float, float]:
     parts = line.split()
     if len(parts) != 7 or parts[0] != SNAPSHOT_MAGIC:
         raise SnapshotError(f"malformed snapshot header: {line!r}")
-    if int(parts[1]) != SNAPSHOT_VERSION:
+    try:
+        version, nx, ny = (int(p) for p in parts[1:4])
+        Lx, Ly, t = (float(p) for p in parts[4:])
+    except ValueError:
+        raise SnapshotError(f"non-numeric snapshot header field: {line!r}") from None
+    if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {parts[1]}")
-    nx, ny = int(parts[2]), int(parts[3])
-    Lx, Ly, t = float(parts[4]), float(parts[5]), float(parts[6])
     return nx, ny, Lx, Ly, t
 
 
@@ -59,7 +62,9 @@ def read_snapshot(path) -> tuple[Field, float]:
     nl = raw.find(b"\n")
     if nl < 0:
         raise SnapshotError(f"{path}: no header line found")
-    nx, ny, Lx, Ly, t = parse_snapshot_header(raw[:nl].decode("ascii"))
+    # a non-ASCII byte decodes to U+FFFD, which no header field accepts
+    header = raw[:nl].decode("ascii", errors="replace")
+    nx, ny, Lx, Ly, t = parse_snapshot_header(header)
     payload = raw[nl + 1:]
     expected = nx * ny * 8
     if len(payload) != expected:

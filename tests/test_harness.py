@@ -26,6 +26,12 @@ def ensemble_config(tmp_path, n=16, lambda0=0.1, steps=60, **run_overrides):
     )
 
 
+@pytest.mark.parametrize("max_workers", [0, -1])
+def test_bad_worker_count_is_rejected(tmp_path, max_workers):
+    with pytest.raises(ValueError, match="max_workers"):
+        mc_ensemble(ensemble_config(tmp_path, steps=5), 4, max_workers=max_workers)
+
+
 def test_single_replica_reduces_to_run(tmp_path):
     from stfe2d.config import assemble
     from stfe2d.integrator import run

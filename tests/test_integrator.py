@@ -20,6 +20,17 @@ def cosine_film(grid, amp=0.1):
         * np.cos(2 * np.pi * y / grid.Ly))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("t_max", float("nan")), ("t_max", float("inf")), ("dt", float("inf")),
+    ("e_max_C", float("nan")), ("u_floor", float("nan")),
+    ("snapshot_times", (0.5, float("nan"))), ("alpha", -1.0), ("alpha", 0.0),
+    ("kappa", 0.0), ("kappa", float("nan")),
+])
+def test_run_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field.replace("_times", " times")):
+        RunConfig(**{"t_max": 1.0, field: value})
+
+
 def test_stable_dt_formula(mat):
     grid = Grid(32, 32, 1.0, 1.0)
     lam = 4.0 / grid.hx**2 + 4.0 / grid.hy**2

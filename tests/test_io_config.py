@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stfe2d
 from stfe2d import cli
 from stfe2d import io as sio
 from stfe2d.config import ConfigError, assemble, load_config
@@ -32,6 +37,15 @@ def test_snapshot_header_parsing():
     assert (Lx, Ly, t) == (1.0, 1.0, 0.0)
     with pytest.raises(sio.SnapshotError):
         sio.parse_snapshot_header("NOPE 1 4 4 1 1 0")
+
+
+@pytest.mark.parametrize("header", [b"STFE2D 1 x 4 1 1 0", b"STFE2D 1 4 4 1 1 zz",
+                                    b"STFE2D 1 4 4 1 1 0\xff"])
+def test_bad_snapshot_header_field_is_typed(tmp_path, header):
+    path = tmp_path / "f.bin"
+    path.write_bytes(header + b"\n" + bytes(4 * 4 * 8))
+    with pytest.raises(sio.SnapshotError):
+        sio.read_snapshot(path)
 
 
 def test_truncated_snapshot_reports_byte_counts(tmp_path, rng):
@@ -141,6 +155,20 @@ def test_parse_error_is_reported(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "t_max", float("nan")),
+    ("run", "t_max", float("inf")),
+    ("noise", "trunc_C", float("nan")),
+    ("initial", "base", float("nan")),
+    ("initial", "base", float("-inf")),
+])
+def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, section, key, value):
+    # json.dumps writes these as the non-standard literals NaN/Infinity/-Infinity
+    path = write_config(tmp_path, **{section: {key: value}})
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert "non-finite number" in capsys.readouterr().out
+
+
 def test_nonpositive_initial_is_rejected(tmp_path):
     path = write_config(tmp_path, initial={"kind": "cosine-perturbed",
                                            "base": 1.0, "amplitude": 1.5})
@@ -238,3 +266,13 @@ def test_cli_check_failure_exit_code(monkeypatch, capsys):
     assert cli.main(["check"]) == cli.EXIT_CHECK
     out = capsys.readouterr().out
     assert "FAIL drift_weak_form" in out
+
+
+def test_package_import_does_not_load_scipy():
+    src = Path(stfe2d.__file__).resolve().parents[1]
+    code = ("import sys, stfe2d, stfe2d.cli, stfe2d.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
