@@ -8,6 +8,8 @@ violation and reports each with the name of the assumption it breaks, e.g.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,9 +74,26 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+def _finite_float(literal: str) -> float:
+    """A JSON number literal that overflows a double (1e999) is rejected."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal} is not allowed")
+    return value
+
+
+def _bounded_int(literal: str) -> int:
+    """An integer literal beyond the range of a double is rejected."""
+    value = int(literal)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer {literal[:12]}... is out of range")
+    return value
+
+
 def load_config(path) -> Config:
     try:
-        data = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+        data = json.loads(Path(path).read_text(), parse_constant=_reject_constant,
+                          parse_float=_finite_float, parse_int=_bounded_int)
     except (OSError, ValueError) as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from exc
     if not isinstance(data, dict):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import fem, scheme
 from .grid import Field, Grid
 from .material import Material
@@ -15,7 +17,8 @@ def energy_h(u: Field, mat: Material) -> EnergyParts:
     """Regularized discrete energy: gradient + potential + h^eps curvature."""
     v, grid = u.values, u.grid
     return scheme.energy_parts(v, fem.shift(v, -1, -1), fem.shift(v, -1, -2),
-                               fem.lap(v, grid), mat, grid)
+                               fem.lap(v, grid), fem.lumped_integral(mat.potential_F(v), grid),
+                               mat, grid, np.empty_like(v))
 
 
 def entropy_h(u: Field, mat: Material) -> float:
@@ -72,19 +75,20 @@ class DiagRecord:
                 self.osc, self.diss_x, self.diss_y, self.stopped)
 
 
-def make_record(u: Field, mat: Material, t: float, stopped: bool,
+def make_record(u: np.ndarray, grid: Grid, mat: Material, t: float, stopped: bool,
                 alpha: float = 1.0, kappa: float = 1.0,
                 terms: scheme.StateTerms | None = None) -> DiagRecord:
-    """The record of a state; ``terms`` are its ``scheme.state_terms`` when
-    the caller has them already."""
+    """The record of the state with nodal values ``u`` on ``grid``;
+    ``terms`` are its ``scheme.state_terms`` when the caller has them
+    already."""
     if terms is None:
-        terms = scheme.state_terms(u.values, mat, u.grid)
+        terms = scheme.state_terms(u, mat, grid)
     parts = terms.energy
     return DiagRecord(
         t=t,
-        mass=mass(u),
-        u_min=u.min(),
-        u_max=u.max(),
+        mass=fem.lumped_integral(u, grid),
+        u_min=float(u.min()),
+        u_max=float(u.max()),
         E_dir=parts.dirichlet,
         E_pot=parts.potential,
         E_curv=parts.curvature,

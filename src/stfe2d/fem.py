@@ -24,24 +24,26 @@ from .grid import Field, Grid
 # periodic shifts and difference quotients
 # ---------------------------------------------------------------------------
 
-def shift(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
+def shift(values: np.ndarray, offset: int, axis: int,
+          out: np.ndarray | None = None) -> np.ndarray:
     """``np.roll(values, offset, axis)`` along a grid axis by two slices,
     without np.roll's per-call overhead: shift(v, -1, -1)[..., j, i] =
     v[..., j, i+1] (periodic).  ``axis`` is -1 (x) or -2 (y); leading
-    (replica) axes ride along."""
+    (replica) axes ride along.  Written into ``out`` when given (which must
+    not overlap ``values``)."""
     if axis not in (-1, -2):
         raise ValueError(f"shift axis must be -1 (x) or -2 (y), got {axis!r}")
     k = -offset % values.shape[axis]
     if axis == -1:
-        return np.concatenate((values[..., k:], values[..., :k]), axis=-1)
-    return np.concatenate((values[..., k:, :], values[..., :k, :]), axis=-2)
+        return np.concatenate((values[..., k:], values[..., :k]), axis=-1, out=out)
+    return np.concatenate((values[..., k:, :], values[..., :k, :]), axis=-2, out=out)
 
 
 def second_difference(ahead: np.ndarray, centre: np.ndarray, behind: np.ndarray,
-                      h: float) -> np.ndarray:
+                      h: float, out: np.ndarray | None = None) -> np.ndarray:
     """3-point stencil (ahead - 2 centre + behind) / h^2 from given neighbors,
-    evaluated in that order in one output array."""
-    out = np.multiply(centre, 2.0)
+    evaluated in that order in one output array (``out`` when given)."""
+    out = np.multiply(centre, 2.0, out=out)
     np.subtract(ahead, out, out=out)
     out += behind
     out /= h**2
@@ -69,18 +71,15 @@ def dqy_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
 # discrete Laplacian
 # ---------------------------------------------------------------------------
 
-def lap_x(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Periodic 3-point stencil in x; equals dqx_plus(dqx_minus(.))."""
-    return second_difference(shift(values, -1, -1), values, shift(values, 1, -1), grid.hx)
-
-
-def lap_y(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return second_difference(shift(values, -1, -2), values, shift(values, 1, -2), grid.hy)
-
-
-def lap(values: np.ndarray, grid: Grid) -> np.ndarray:
-    out = lap_x(values, grid)
-    out += lap_y(values, grid)
+def lap(values: np.ndarray, grid: Grid, out: np.ndarray | None = None,
+        tmp: tuple | None = None) -> np.ndarray:
+    """The discrete Laplacian, the x stencil plus the y stencil; into
+    ``out`` with the three scratch arrays ``tmp`` when given."""
+    a, b, c = (None, None, None) if tmp is None else tmp
+    out = second_difference(shift(values, -1, -1, a), values, shift(values, 1, -1, b),
+                            grid.hx, out)
+    out += second_difference(shift(values, -1, -2, a), values, shift(values, 1, -2, b),
+                             grid.hy, c)
     return out
 
 
@@ -110,8 +109,9 @@ def lumped_integral(values: np.ndarray, grid: Grid):
     return grid.cell_area * node_sum(values)
 
 
-def inner_h(a: np.ndarray, b: np.ndarray, grid: Grid):
-    return grid.cell_area * node_sum(a * b)
+def inner_h(a: np.ndarray, b: np.ndarray, grid: Grid, out: np.ndarray | None = None):
+    """Lumped inner product; the product a*b goes into ``out`` when given."""
+    return grid.cell_area * node_sum(np.multiply(a, b, out=out))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ drift).  ``run_replicas`` runs it over R seeds; ``run`` runs it
 over one seed (lead shape ()) and adds what a lone trajectory emits: the
 records, the snapshots, and the abort raised.  Each replica's draws are a
 pure function of (seed, component, k, l, step, attempt), so a replica in a
-stack reproduces its lone run bit for bit.
+stack reproduces its lone run bit for bit.  The loop allocates one
+``scheme.Buffers`` set per run, and every step writes its noise fields,
+candidate and state terms into it.
 
 The base step defaults to a tenth of the explicit stability bound of the
 linearized fourth-order terms (mobility part plus h^eps curvature part);
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -149,6 +152,7 @@ class NoiseWorkspace:
     ``keys[..., c, m]`` is the stream key of component c (0 = x, 1 = y) of
     mode m: shape (2, M) for one seed, (R, 2, M) for a stack of replicas
     with one seed each, whose fields then carry the replica axis first.
+    ``half`` holds C^T gx of each field between the two products.
     """
 
     modes: tuple
@@ -156,6 +160,7 @@ class NoiseWorkspace:
     gy: np.ndarray
     lam: np.ndarray        # (2, M): lambda_x and lambda_y of each mode
     keys: np.ndarray
+    half: np.ndarray       # (*keys.shape[:-1], 2r+1, nx) scratch
 
     @classmethod
     def build(cls, model: NoiseModel, grid: Grid, eps: float,
@@ -170,30 +175,34 @@ class NoiseWorkspace:
         def keys(seed):
             return np.stack([noise.mode_keys(seed, c, modes) for c in (0, 1)])
 
+        stream_keys = keys(model.seed) if seeds is None else np.stack([keys(s) for s in seeds])
         return cls(
             modes=modes,
             gx=np.array([noise.basis_1d(k, x, grid.Lx) for k in range(-r, r + 1)]),
             gy=np.array([noise.basis_1d(l, y, grid.Ly) for l in range(-r, r + 1)]),
             lam=np.stack(model.lambda_arrays(modes)),
-            keys=keys(model.seed) if seeds is None else np.stack([keys(s) for s in seeds]),
+            keys=stream_keys,
+            half=np.empty((*stream_keys.shape[:-1], 2 * r + 1, grid.nx)),
         )
 
-    @property
+    @cached_property
     def active(self) -> bool:
         return bool(np.any(self.lam > 0))
 
-    def coefficient_fields(self, step: int, attempt: int, dt):
+    def coefficient_fields(self, step: int, attempt: int, dt, out: np.ndarray | None = None):
         """Accumulated noise fields (w_x, w_y) for one step attempt; for a
         stack, dt holds each replica's step, shape (R,), and the fields have
-        shape (R, ny, nx).  One draw covers both components and all replicas."""
+        shape (R, ny, nx).  One draw covers both components and all replicas.
+        The fields are views of ``out``, shape (*lead, 2, ny, nx), when given."""
         dt = np.asarray(dt)
         if not (dt > 0.0).all():
             raise ValueError("dt must be positive")
-        z = noise.standard_normals(self.keys, noise.step_counter(step, attempt))
-        c = self.lam * (np.sqrt(dt)[..., None, None] * z)
+        c = noise.standard_normals(self.keys, noise.step_counter(step, attempt))
+        c *= np.sqrt(dt)[..., None, None]
+        c *= self.lam
         side = len(self.gx)
         c = c.reshape(*c.shape[:-1], side, side).swapaxes(-1, -2)
-        w = self.gy.T @ (c @ self.gx)
+        w = np.matmul(self.gy.T, np.matmul(c, self.gx, out=self.half), out=out)
         return w[..., 0, :, :], w[..., 1, :, :]
 
 
@@ -222,8 +231,8 @@ class Replicas(NamedTuple):
 
 
 def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
-            ws: NoiseWorkspace, grid: Grid, base_dt: float,
-            e_max: float) -> tuple[Replicas, dict]:
+            ws: NoiseWorkspace, grid: Grid, base_dt: float, e_max: float,
+            bufs: scheme.Buffers | None = None) -> tuple[Replicas, dict]:
     """One Euler-Maruyama step of the ``live`` replicas (a mask of shape
     lead), all at accepted-step index ``step``, with the run's constants:
     the base step ``cfg.base_dt(grid, mat)`` and the threshold energy
@@ -235,7 +244,13 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
     halve it and redraw at attempt + 1.  Replicas that are not live, and
     those that abort, keep their state.  Returns the new states and the
     aborts, {replica index: OverflowAbort | PositivityAbort}.
+
+    Every field of the step is written into ``bufs``, the run's
+    ``scheme.Buffers`` (a fresh set when None): the new state's field and
+    terms stay valid through the next step on the same buffers.
     """
+    if bufs is None:
+        bufs = scheme.Buffers(reps.u.shape)
     dt_full = np.minimum(base_dt, cfg.t_max - reps.t)
     dt_full = np.where(dt_full > 0.0, dt_full, base_dt)  # past the horizon: a full step
 
@@ -243,15 +258,19 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
     pending = live & ~stopped
     if pending.any():
         if terms is None:
-            terms = scheme.state_terms(reps.u, mat, grid)
+            terms = scheme.state_terms(reps.u, mat, grid, bufs)
         freeze = pending & (terms.energy.total >= e_max)
         if freeze.any():
             pending = pending & ~freeze
             stopped = stopped | freeze
             stop_time = np.where(freeze, reps.t, stop_time)
-    t = np.where(live & stopped, reps.t + dt_full, reps.t)
+    t = reps.t
+    if stopped.any():  # a frozen live replica advances its clock
+        t = np.where(live & stopped, reps.t + dt_full, t)
 
     u = u_new = reps.u
+    cand = bufs.free_field(u)
+    w_out, (base, zy, tmp) = bufs.noise, bufs.scratch[2:5]
     moved = False
     aborts = {}
     dt_try = dt_full
@@ -260,23 +279,33 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
             break
         if attempt:
             dt_try = dt_try * 0.5
-        cand = u + dt_try[..., None, None] * terms.drift
+        # cand = (u + dt * drift) + noise increment, the increment formed first
         if ws.active:
-            cand = cand + scheme.diffusion_values(
-                u, grid, *ws.coefficient_fields(step, attempt, dt_try),
-                du_x=terms.du_x, du_y=terms.du_y)
+            scheme.diffusion_values(u, grid, *ws.coefficient_fields(step, attempt, dt_try, w_out),
+                                    du_x=terms.du_x, du_y=terms.du_y, out=cand, tmp=(zy, tmp))
+            np.multiply(dt_try[..., None, None], terms.drift, out=base)
+            base += u
+            cand += base
+        else:
+            np.multiply(dt_try[..., None, None], terms.drift, out=cand)
+            cand += u
         finite = np.isfinite(cand).all(axis=(-2, -1))
         if not finite.all():
             for idx in map(tuple, np.argwhere(pending & ~finite)):
                 aborts[idx] = OverflowAbort(step)
         accept = pending & finite & (cand > cfg.u_floor).all(axis=(-2, -1))
-        if accept.all():
-            u_new, t = cand, reps.t + dt_try
-        else:
-            u_new = np.where(accept[..., None, None], cand, u_new)
-            t = np.where(accept, reps.t + dt_try, t)
-        moved = moved | accept
+        if accept.all():  # every replica was pending and accepts
+            u_new, t, moved = cand, reps.t + dt_try, accept
+            break
         pending = pending & finite & ~accept
+        if accept.any():  # a stack's partial acceptance
+            t = np.where(accept, reps.t + dt_try, t)
+            moved = moved | accept
+            if pending.any():  # cand is drawn again: the accepted states leave it
+                u_new = np.where(accept[..., None, None], cand, u_new)
+            else:  # the last attempt: the other states join cand in place
+                np.copyto(cand, u_new, where=~accept[..., None, None])
+                u_new = cand
     else:
         for idx in map(tuple, np.argwhere(pending)):  # halvings exhausted
             flat = int(np.argmin(cand[idx]))
@@ -285,7 +314,7 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
                                           float(dt_try[idx]))
 
     if np.asarray(moved).any():
-        terms = scheme.state_terms(u_new, mat, grid)
+        terms = scheme.state_terms(u_new, mat, grid, bufs)
         freeze = moved & (terms.energy.total >= e_max)
         if freeze.any():
             stopped = stopped | freeze
@@ -349,7 +378,8 @@ def _integrate(u0: Field, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
     u = np.tile(u0.values, (*lead, 1, 1))
     base_dt = cfg.base_dt(grid, mat)
     e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
-    terms = scheme.state_terms(u, mat, grid)
+    bufs = scheme.Buffers(u.shape)
+    terms = scheme.state_terms(u, mat, grid, bufs)
     stopped = np.asarray(terms.energy.total >= e_max)
     reps = Replicas(u, np.zeros(lead), stopped, np.where(stopped, 0.0, np.nan), terms)
     step, steps = 0, np.zeros(lead, dtype=int)
@@ -371,22 +401,30 @@ def _integrate(u0: Field, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
         visit(reps, step, live, {}, reached, state)
     while live.any():
         prev_t = reps.t
-        reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, e_max)
+        reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, e_max, bufs)
         aborts.update(new_aborts)
         for idx in new_aborts:
             live[idx] = False
         step += 1
-        steps = np.where(live, step, steps)
         # a replica that is not live kept its state, so the maxima below
-        # leave its monitors as they are
+        # leave its monitors as they are; a masked update is skipped when
+        # its mask selects every replica
+        all_live, any_stopped = live.all(), reps.stopped.any()
         terms = reps.terms
-        diss_now = np.where(reps.stopped, 0.0, terms.diss_x + terms.diss_y)
-        diss_integral = np.where(
-            live, diss_integral + 0.5 * (diss_prev + diss_now) * (reps.t - prev_t),
-            diss_integral)
+        diss_now = terms.diss_x + terms.diss_y
+        if any_stopped:
+            diss_now = np.where(reps.stopped, 0.0, diss_now)
+        diss_step = diss_integral + 0.5 * (diss_prev + diss_now) * (reps.t - prev_t)
+        if all_live:
+            steps[...] = step
+            diss_integral = diss_step
+        else:
+            steps = np.where(live, step, steps)
+            diss_integral = np.where(live, diss_step, diss_integral)
         diss_prev = diss_now
         sup_R = np.maximum(sup_R, cfg.alpha + terms.energy.total + cfg.kappa * terms.entropy)
-        sup_osc = np.where(reps.stopped, sup_osc, np.maximum(sup_osc, terms.osc))
+        osc = np.maximum(sup_osc, terms.osc)
+        sup_osc = np.where(reps.stopped, sup_osc, osc) if any_stopped else osc
         drift = np.abs(fem.lumped_integral(reps.u, grid) - mass0) / abs(mass0)
         max_drift = np.maximum(max_drift, drift)
         live &= ~reached(cfg.t_max)
@@ -413,21 +451,21 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
     and for the last state.  Deterministic for fixed (seed, config):
     records, snapshots and the final state are pure functions of the inputs.
     """
-    ws = NoiseWorkspace.build(model, u0.grid, mat.eps)
+    grid = u0.grid
+    ws = NoiseWorkspace.build(model, grid, mat.eps)
     records, snapshots = [], []
     snap_times = sorted(cfg.snapshot_times)
 
     def emit(reps, step, live, aborts, reached, state):
         if aborts:
             raise aborts[()]
-        s = None
         if step % cfg.diag_interval == 0 or not live:
-            s = state(())
-            rec = diagnostics.make_record(s.u, mat, s.t, s.stopped, cfg.alpha, cfg.kappa,
-                                          terms=reps.terms)
+            rec = diagnostics.make_record(reps.u, grid, mat, float(reps.t), bool(reps.stopped),
+                                          cfg.alpha, cfg.kappa, terms=reps.terms)
             records.append(rec)
             if diag_cb is not None:
                 diag_cb(rec)
+        s = None
         while snap_times and reached(snap_times[0]):
             snap_times.pop(0)
             s = s or state(())

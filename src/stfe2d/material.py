@@ -48,6 +48,41 @@ def _require_positive(u, what: str):
     return u
 
 
+def _negative_powers(u: np.ndarray, r: np.ndarray, n: float, p: np.ndarray,
+                     p1: np.ndarray, sq: np.ndarray) -> None:
+    """u^-n into ``p`` and u^-(n+1) into ``p1``; r = 1/u, ``sq`` is scratch.
+
+    For an integer n, p is the product of the squares r^(2^k) of n's set
+    bits, taken in increasing k, and p1 = p * r.
+    """
+    if not float(n).is_integer():
+        np.power(u, -n, out=p)
+        np.power(u, -n - 1, out=p1)
+        return
+    n, base, first = int(n), r, True
+    while n:
+        if n & 1:
+            if first:
+                np.copyto(p, base)
+            else:
+                p *= base
+            first = False
+        n >>= 1
+        if n:
+            base = np.multiply(base, base, out=sq)
+    if first:
+        p.fill(1.0)
+    np.multiply(p, r, out=p1)
+
+
+def _evaluated(evaluate, u):
+    """(F, F') of ``evaluate(u, f, df, scratch)`` into fresh arrays."""
+    u = np.asarray(u, dtype=np.float64)
+    f, df, *scratch = (np.empty_like(u) for _ in range(6))
+    evaluate(u, f, df, scratch)
+    return f[()], df[()]
+
+
 @dataclass(frozen=True)
 class PowerPairPotential:
     """F(u) = coef_high * u^-exp_high - coef_low * u^-exp_low + const."""
@@ -69,13 +104,31 @@ class PowerPairPotential:
         if self.coef_high <= 0.0 or self.coef_low < 0.0:
             raise AssumptionError("potential coefficients must have coef_high > 0, coef_low >= 0")
 
+    def evaluate(self, u: np.ndarray, f: np.ndarray, df: np.ndarray, scratch) -> None:
+        """F(u) into ``f`` and F'(u) into ``df`` for positive u (unchecked),
+        with four scratch arrays shaped like u.
+
+        An integer exponent n takes u^-n from the one reciprocal r = 1/u by
+        repeated squaring and u^-(n+1) as u^-n * r; any other exponent takes
+        both through ``pow``.
+        """
+        r, sq, low, low1 = scratch
+        np.divide(1.0, u, out=r)
+        _negative_powers(u, r, self.exp_high, f, df, sq)
+        _negative_powers(u, r, self.exp_low, low, low1, sq)
+        df *= -self.coef_high * self.exp_high
+        low1 *= self.coef_low * self.exp_low
+        df += low1
+        f *= self.coef_high
+        low *= self.coef_low
+        f -= low
+        f += self.const
+
     def f(self, u):
-        return (self.coef_high * u ** (-self.exp_high)
-                - self.coef_low * u ** (-self.exp_low) + self.const)
+        return _evaluated(self.evaluate, u)[0]
 
     def df(self, u):
-        return (-self.coef_high * self.exp_high * u ** (-self.exp_high - 1)
-                + self.coef_low * self.exp_low * u ** (-self.exp_low - 1))
+        return _evaluated(self.evaluate, u)[1]
 
     def d2f(self, u):
         return (self.coef_high * self.exp_high * (self.exp_high + 1) * u ** (-self.exp_high - 2)
@@ -113,19 +166,28 @@ class Material:
 
     # -- potential ---------------------------------------------------------
 
-    def potential_F(self, u):
-        u = _require_positive(u, "potential_F")
-        out = self.potential.f(u)
+    def potential_terms(self, u: np.ndarray, f: np.ndarray, df: np.ndarray,
+                        scratch) -> None:
+        """F(u) into ``f`` and F'(u) into ``df`` for positive u (unchecked),
+        with four scratch arrays shaped like u: the state kernel's form of
+        ``potential_F`` and ``dF``, which evaluate through it."""
+        self.potential.evaluate(u, f, df, scratch)
         if self.strat_shift:
-            out = out + self.strat_shift * (u - np.log(u))
-        return out
+            t = scratch[0]
+            np.divide(1.0, u, out=t)
+            np.subtract(1.0, t, out=t)
+            t *= self.strat_shift
+            df += t
+            np.log(u, out=t)
+            np.subtract(u, t, out=t)
+            t *= self.strat_shift
+            f += t
+
+    def potential_F(self, u):
+        return _evaluated(self.potential_terms, _require_positive(u, "potential_F"))[0]
 
     def dF(self, u):
-        u = _require_positive(u, "dF")
-        out = self.potential.df(u)
-        if self.strat_shift:
-            out = out + self.strat_shift * (1.0 - 1.0 / u)
-        return out
+        return _evaluated(self.potential_terms, _require_positive(u, "dF"))[1]
 
     def d2F(self, u):
         u = _require_positive(u, "d2F")
@@ -141,9 +203,16 @@ class Material:
         return np.asarray(u, dtype=np.float64) ** 2
 
     @staticmethod
+    def entropy_density(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """G(u) = (u - 1) - log u into ``out`` for positive u (unchecked)."""
+        np.subtract(u, 1.0, out=out)
+        out -= np.log(u, out=tmp)
+        return out
+
+    @staticmethod
     def entropy_G(u):
         u = _require_positive(u, "entropy_G")
-        return (u - 1.0) - np.log(u)
+        return Material.entropy_density(u, np.empty_like(u), np.empty_like(u))[()]
 
     @staticmethod
     def dG(u):

@@ -195,12 +195,28 @@ def basis_eval(k: int, l: int, grid: Grid) -> Field:
 # counter-based Gaussian streams
 # ---------------------------------------------------------------------------
 
+_MASK64 = 2**64 - 1
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_COUNTER = 0x632BE59BD9B4E019
+
+
 def _mix64(x):
+    """splitmix64 finalizer of uint64 values; an array is mixed in place."""
     # modular 64-bit wraparound is the intended mixing semantics: callers
     # wrap the calls in np.errstate(over="ignore") (numpy scalars warn)
-    x = (x ^ (x >> U64(30))) * U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> U64(27))) * U64(0x94D049BB133111EB)
-    return x ^ (x >> U64(31))
+    x ^= x >> U64(30)
+    x *= U64(_MIX1)
+    x ^= x >> U64(27)
+    x *= U64(_MIX2)
+    x ^= x >> U64(31)
+    return x
+
+
+def _mix64_int(x: int) -> int:
+    """``_mix64`` of a Python int in [0, 2^64)."""
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
+    return x ^ (x >> 31)
 
 
 def mode_keys(seed: int, component: int, modes: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -215,20 +231,39 @@ def mode_keys(seed: int, component: int, modes: Sequence[tuple[int, int]]) -> np
     return x
 
 
+def _uniform53(keys: np.ndarray, mixed_counter) -> np.ndarray:
+    """The top 53 bits of mix(key ^ mixed counter), as floats in [0, 2^53)."""
+    x = _mix64(np.asarray(keys ^ mixed_counter))  # an array wraps silently
+    x >>= U64(11)
+    return x.astype(np.float64)
+
+
 def standard_normals(keys: np.ndarray, counters) -> np.ndarray:
     """One N(0,1) draw per (key, counter) pair via Box-Muller; broadcasts.
 
     The counter is mixed once per call, so one call over all the keys of a
-    step attempt (both components, every replica) mixes it once."""
+    step attempt (both components, every replica) mixes it once; a single
+    counter is mixed in Python ints."""
     keys = np.asarray(keys, dtype=np.uint64)
-    c = np.asarray(counters, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = c * U64(2) + U64(0x632BE59BD9B4E019)
-        x1 = _mix64(keys ^ _mix64(base))
-        x2 = _mix64(keys ^ _mix64(base + U64(1)))
-    u1 = ((x1 >> U64(11)).astype(np.float64) + 1.0) * 2.0**-53  # (0, 1]
-    u2 = (x2 >> U64(11)).astype(np.float64) * 2.0**-53          # [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    if isinstance(counters, (int, np.integer)):
+        base = (int(counters) * 2 + _COUNTER) & _MASK64
+        m1, m2 = U64(_mix64_int(base)), U64(_mix64_int((base + 1) & _MASK64))
+    else:
+        with np.errstate(over="ignore"):
+            base = np.asarray(counters, dtype=np.uint64) * U64(2) + U64(_COUNTER)
+            m2 = _mix64(base + U64(1))
+            m1 = _mix64(base)
+    z = _uniform53(keys, m1)         # u1 in (0, 1] after the next two steps
+    z += 1.0
+    z *= 2.0**-53
+    z = np.log(z, out=z)
+    z *= -2.0
+    z = np.sqrt(z, out=z)
+    c = _uniform53(keys, m2)         # u2 in [0, 1) after the next step
+    c *= 2.0**-53
+    c *= 2.0 * np.pi
+    z *= np.cos(c, out=c)
+    return z[()]
 
 
 def step_counter(step: int, attempt: int = 0) -> int:

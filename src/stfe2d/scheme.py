@@ -29,7 +29,9 @@ noise fields w_x, w_y at once, and its nodal sum also telescopes to zero.
 ``state_terms`` is the one-pass kernel the integrator calls once per
 accepted state: drift, energy parts, entropy, dissipation and oscillation
 ratio from one set of periodic neighbor arrays.  ``drift_values``,
-``dissipation`` and ``diagnostics.energy_h`` share its helpers.
+``dissipation`` and ``diagnostics.energy_h`` share its helpers.  The kernel
+writes every field into a ``Buffers`` set, which a run allocates once, so
+a step allocates no field; F and F' come from one reciprocal of u.
 
 The kernel and the noise operator take one field of shape (ny, nx) or a
 stack of replica fields of shape (R, ny, nx): shifts act on the two grid
@@ -86,94 +88,152 @@ class StateTerms(NamedTuple):
     du_y: np.ndarray       # u_north - u_south
 
 
-def oscillation(u: np.ndarray, east: np.ndarray, west: np.ndarray) -> float:
-    """Max of u(center)/u(neighbor) over the periodic 3x3 neighborhoods.
+class Buffers:
+    """The field-sized arrays a run steps through, all of one shape
+    (*lead, ny, nx) and allocated once.
+
+    ``scratch`` holds the kernel's and the noise increment's work arrays;
+    ``state_terms`` fills the two slots of output fields (drift, du_x,
+    du_y) in turn, so the terms of the last state stay valid while those of
+    the next are computed; the Euler-Maruyama candidate is built in
+    whichever of the two ``fields`` does not hold the current state.
+    """
+
+    SCRATCH = 7
+
+    def __init__(self, shape: tuple):
+        block = np.empty((self.SCRATCH, *shape))
+        self.scratch = tuple(block)
+        # the first two scratch fields in the noise fields' (*lead, 2, ny, nx) layout
+        self.noise = np.moveaxis(block[:2], 0, -3)
+        self.fields = tuple(np.empty((2, *shape)))
+        self._slots = np.empty((2, 3, *shape))
+        self._turn = 1
+
+    def next_slot(self) -> np.ndarray:
+        """The output slot (drift, du_x, du_y) not holding the last terms."""
+        self._turn ^= 1
+        return self._slots[self._turn]
+
+    def free_field(self, u: np.ndarray) -> np.ndarray:
+        """The candidate field that is not ``u``."""
+        return self.fields[u is self.fields[0]]
+
+
+def _fresh(like: np.ndarray, n: int) -> tuple:
+    return tuple(np.empty_like(like) for _ in range(n))
+
+
+def oscillation(u: np.ndarray, east: np.ndarray, west: np.ndarray,
+                tmp: tuple | None = None) -> float:
+    """Max of u(center)/u(neighbor) over the periodic 3x3 neighborhoods,
+    with three scratch arrays ``tmp``.
 
     Evaluated as max(u / min_3x3(u)) from the x-neighbors: division by a
     positive divisor rounds monotonically, so this equals the maximum over
     the nine ratio fields bit for bit.
     """
-    row = np.minimum(np.minimum(west, u), east)
-    low = np.minimum(np.minimum(fem.shift(row, 1, -2), row), fem.shift(row, -1, -2))
-    return fem.node_max(u / low)
+    row, low, t = tmp or _fresh(u, 3)
+    np.minimum(np.minimum(west, u, out=row), east, out=row)
+    np.minimum(fem.shift(row, 1, -2, out=low), row, out=low)
+    np.minimum(low, fem.shift(row, -1, -2, out=t), out=low)
+    return fem.node_max(np.divide(u, low, out=low))
 
 
 # ---------------------------------------------------------------------------
 # pressure, drift and the one-pass state kernel
 # ---------------------------------------------------------------------------
 
-def _pressure(u: np.ndarray, lap_u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
-    """-lap_u + F'(u) + h^eps lap(lap_u) from the Laplacian lap_u of u."""
-    bilap = fem.lap(lap_u, grid)
+def _pressure(lap_u: np.ndarray, df: np.ndarray, mat: Material, grid: Grid,
+              tmp: tuple) -> np.ndarray:
+    """-lap_u + F'(u) + h^eps lap(lap_u), in place in ``df`` = F'(u), from
+    the Laplacian lap_u of u and four scratch arrays ``tmp``."""
+    bilap = fem.lap(lap_u, grid, tmp[0], tmp[1:])
     bilap *= mesh_weight(grid, mat.eps)
-    p = mat.dF(u)
-    p -= lap_u
-    p += bilap
-    return p
+    df -= lap_u
+    df += bilap
+    return df
 
 
 def pressure_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
-    return _pressure(u, fem.lap(u, grid), mat, grid)
+    return _pressure(fem.lap(u, grid), mat.dF(u), mat, grid, _fresh(u, 4))
 
 
-def state_terms(u: np.ndarray, mat: Material, grid: Grid) -> StateTerms:
+def state_terms(u: np.ndarray, mat: Material, grid: Grid,
+                out: Buffers | None = None) -> StateTerms:
     """Drift, energy parts, entropy, dissipation and oscillation of one state.
 
     The Laplacian, the pressure and the periodic neighbors of u are each
-    formed once and shared.
+    formed once and shared.  Every field is written into ``out`` (a fresh
+    set when None): the returned drift and neighbor differences into its
+    next output slot, the rest into its scratch.
     """
-    east, west = fem.shift(u, -1, -1), fem.shift(u, 1, -1)
-    north, south = fem.shift(u, -1, -2), fem.shift(u, 1, -2)
-    lap_u = fem.second_difference(east, u, west, grid.hx)
-    lap_u += fem.second_difference(north, u, south, grid.hy)
-    # the first material call: a nonpositive u raises before any division by u
-    energy = energy_parts(u, east, north, lap_u, mat, grid)
-    osc = oscillation(u, east, west)
-    du_x = np.subtract(east, west, out=west)  # in place: no new field
-    du_y = np.subtract(north, south, out=south)
-    p = _pressure(u, lap_u, mat, grid)
-    del lap_u
-    drift, diss_x, diss_y = edge_fluxes(u, east, north, p, grid)
-    entropy = fem.lumped_integral(mat.entropy_G(u), grid)
+    if out is None:
+        out = Buffers(u.shape)
+    check_positive(u)  # the one scan: no division by u comes before it
+    drift, du_x, du_y = out.next_slot()
+    east, north, lap_u, p, t1, t2, t3 = out.scratch
+    # F is summed at once and F' kept for the pressure; the drift slot is
+    # free scratch until the fluxes fill it
+    mat.potential_terms(u, t1, p, (t2, t3, lap_u, drift))
+    e_pot = fem.lumped_integral(t1, grid)
+    entropy = fem.lumped_integral(mat.entropy_density(u, t1, t2), grid)
+    west, south = fem.shift(u, 1, -1, out=du_x), fem.shift(u, 1, -2, out=du_y)
+    fem.shift(u, -1, -1, out=east)
+    fem.shift(u, -1, -2, out=north)
+    fem.second_difference(east, u, west, grid.hx, out=lap_u)
+    lap_u += fem.second_difference(north, u, south, grid.hy, out=t1)
+    energy = energy_parts(u, east, north, lap_u, e_pot, mat, grid, t1)
+    osc = oscillation(u, east, west, (t1, t2, t3))
+    np.subtract(east, west, out=du_x)
+    np.subtract(north, south, out=du_y)
+    _pressure(lap_u, p, mat, grid, (t1, t2, t3, drift))
+    diss_x, diss_y = edge_fluxes(u, east, north, p, grid, drift, (lap_u, t1))
     return StateTerms(drift, energy, entropy, diss_x, diss_y, osc, du_x, du_y)
 
 
 def energy_parts(u: np.ndarray, east: np.ndarray, north: np.ndarray,
-                 lap_u: np.ndarray, mat: Material, grid: Grid) -> EnergyParts:
+                 lap_u: np.ndarray, e_pot, mat: Material, grid: Grid,
+                 tmp: np.ndarray) -> EnergyParts:
     """Gradient + potential + h^eps curvature energy from the east and north
-    neighbors and the Laplacian of u."""
-    grad = (east - u) / grid.hx
-    e_dir = fem.inner_h(grad, grad, grid)
-    grad = (north - u) / grid.hy
-    e_dir = 0.5 * (e_dir + fem.inner_h(grad, grad, grid))
-    del grad
-    e_pot = fem.lumped_integral(mat.potential_F(u), grid)
-    e_curv = 0.5 * mesh_weight(grid, mat.eps) * fem.inner_h(lap_u, lap_u, grid)
+    neighbors and the Laplacian of u, the potential energy ``e_pot`` and
+    one scratch array ``tmp``."""
+    grad = np.subtract(east, u, out=tmp)
+    grad /= grid.hx
+    e_dir = fem.inner_h(grad, grad, grid, out=grad)
+    grad = np.subtract(north, u, out=tmp)
+    grad /= grid.hy
+    e_dir = 0.5 * (e_dir + fem.inner_h(grad, grad, grid, out=grad))
+    e_curv = 0.5 * mesh_weight(grid, mat.eps) * fem.inner_h(lap_u, lap_u, grid, out=tmp)
     return EnergyParts(e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
 
 
 def edge_fluxes(u: np.ndarray, east: np.ndarray, north: np.ndarray, p: np.ndarray,
-                grid: Grid) -> tuple[np.ndarray, float, float]:
-    """Drift d-_x(M_x d+_x p) + d-_y(M_y d+_y p) and the dissipation parts
-    |sqrt(M) d+ p|^2, with the entropy-consistent edge mobility M = u * u_neighbor.
-    Overwrites ``east`` and ``north``."""
-    divs, diss = [], []
-    for mob, dq_plus, dq_minus in ((east, fem.dqx_plus, fem.dqx_minus),
-                                   (north, fem.dqy_plus, fem.dqy_minus)):
+                grid: Grid, out: np.ndarray, tmp: tuple) -> tuple[float, float]:
+    """Drift d-_x(M_x d+_x p) + d-_y(M_y d+_y p) into ``out``, and the
+    dissipation parts |sqrt(M) d+ p|^2, with the entropy-consistent edge
+    mobility M = u * u_neighbor.  Overwrites ``east``, ``north`` and the
+    two scratch arrays ``tmp``."""
+    grad, t = tmp
+    diss = []
+    for mob, axis, h, div in ((east, -1, grid.hx, out), (north, -2, grid.hy, t)):
         mob *= u
-        grad = dq_plus(p, grid)
-        flux = np.sqrt(mob) * grad
-        diss.append(fem.inner_h(flux, flux, grid))
+        np.subtract(fem.shift(p, -1, axis, out=grad), p, out=grad)
+        grad /= h
+        flux = np.multiply(np.sqrt(mob, out=t), grad, out=t)
+        diss.append(fem.inner_h(flux, flux, grid, out=flux))
         mob *= grad
-        del flux, grad
-        divs.append(dq_minus(mob, grid))
-    divs[0] += divs[1]
-    return divs[0], diss[0], diss[1]
+        np.subtract(mob, fem.shift(mob, 1, axis, out=t), out=div)
+        div /= h
+    out += t
+    return diss[0], diss[1]
 
 
 def _drift_and_dissipation(u: np.ndarray, mat: Material, grid: Grid):
-    p = pressure_values(u, mat, grid)
-    return edge_fluxes(u, fem.shift(u, -1, -1), fem.shift(u, -1, -2), p, grid)
+    drift = np.empty_like(u)
+    diss = edge_fluxes(u, fem.shift(u, -1, -1), fem.shift(u, -1, -2),
+                       pressure_values(u, mat, grid), grid, drift, _fresh(u, 2))
+    return drift, *diss
 
 
 def drift_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
@@ -190,25 +250,42 @@ def dissipation(u: Field, mat: Material) -> tuple[float, float]:
 # noise application
 # ---------------------------------------------------------------------------
 
+def _z_apply(u: np.ndarray, w: np.ndarray, du: np.ndarray | None, axis: int,
+             h: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Nodal action of the noise operator along ``axis`` into ``out``, with
+    one scratch array ``tmp``; ``du`` is u's ahead-minus-behind neighbor
+    difference, formed here if absent."""
+    if du is None:
+        du = fem.shift(u, -1, axis) - fem.shift(u, 1, axis)
+    np.subtract(fem.shift(w, -1, axis, out=out), fem.shift(w, 1, axis, out=tmp), out=out)
+    out *= u
+    out += np.multiply(w, du, out=tmp)
+    out *= 0.5
+    out /= h
+    return out
+
+
 def z_apply_x(u: np.ndarray, w: np.ndarray, grid: Grid,
               du: np.ndarray | None = None) -> np.ndarray:
     """Nodal action of the x-noise operator for coefficient field w; ``du``
     is u_east - u_west when the caller has it (``StateTerms.du_x``)."""
-    if du is None:
-        du = fem.shift(u, -1, -1) - fem.shift(u, 1, -1)
-    return 0.5 * (u * (fem.shift(w, -1, -1) - fem.shift(w, 1, -1)) + w * du) / grid.hx
+    return _z_apply(u, w, du, -1, grid.hx, *_fresh(u, 2))
 
 
 def z_apply_y(u: np.ndarray, w: np.ndarray, grid: Grid,
               du: np.ndarray | None = None) -> np.ndarray:
-    if du is None:
-        du = fem.shift(u, -1, -2) - fem.shift(u, 1, -2)
-    return 0.5 * (u * (fem.shift(w, -1, -2) - fem.shift(w, 1, -2)) + w * du) / grid.hy
+    return _z_apply(u, w, du, -2, grid.hy, *_fresh(u, 2))
 
 
 def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,
                      du_x: np.ndarray | None = None,
-                     du_y: np.ndarray | None = None) -> np.ndarray:
+                     du_y: np.ndarray | None = None,
+                     out: np.ndarray | None = None,
+                     tmp: tuple | None = None) -> np.ndarray:
     """Noise increment Z_x(u; w_x) + Z_y(u; w_y); ``du_x``, ``du_y`` are the
-    neighbor differences of u from its ``StateTerms``, formed here if absent."""
-    return z_apply_x(u, wx, grid, du_x) + z_apply_y(u, wy, grid, du_y)
+    neighbor differences of u from its ``StateTerms``, formed here if absent.
+    Written into ``out`` with the two scratch arrays ``tmp`` when given."""
+    zy, t = tmp or _fresh(u, 2)
+    out = _z_apply(u, wx, du_x, -1, grid.hx, np.empty_like(u) if out is None else out, t)
+    out += _z_apply(u, wy, du_y, -2, grid.hy, zy, t)
+    return out

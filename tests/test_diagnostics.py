@@ -96,7 +96,7 @@ def test_threshold_energy_formula(mat):
 
 def test_record_invariants(mat, rng, grid65):
     u = positive_field(rng, grid65)
-    rec = diagnostics.make_record(u, mat, t=0.25, stopped=False, alpha=2.0, kappa=3.0)
+    rec = diagnostics.make_record(u.values, u.grid, mat, t=0.25, stopped=False, alpha=2.0, kappa=3.0)
     assert rec.E_total == pytest.approx(rec.E_dir + rec.E_pot + rec.E_curv, rel=1e-14)
     assert rec.R == pytest.approx(2.0 + rec.E_total + 3.0 * rec.S, rel=1e-14)
     assert rec.u_min == u.min() and rec.u_max == u.max()

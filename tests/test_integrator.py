@@ -543,6 +543,37 @@ def test_run_constants_are_computed_once(mat, monkeypatch):
     assert 1 <= calls["threshold_energy"] <= 2
 
 
+@pytest.mark.parametrize("live", [np.True_, np.array([True, False, True])])
+def test_em_step_allocates_no_field_after_warm_up(mat, live):
+    # the step writes every field into the run's buffers: ten noisy steps
+    # on 64x64 fields trace a peak below the bytes of the stepped fields,
+    # also for a stack with a replica that no longer steps
+    import tracemalloc
+    from stfe2d.integrator import Replicas, em_step
+    grid = Grid(64, 64, 1.0, 1.0)
+    cfg = RunConfig(t_max=1.0)
+    lead = live.shape
+    ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule(lambda0=0.1), seed=8), grid, mat.eps,
+                              seeds=[8, 9, 10] if lead else None)
+    assert ws.active
+    base_dt = cfg.base_dt(grid, mat)
+    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
+    u = np.tile(cosine_film(grid).values, (*lead, 1, 1))
+    bufs = scheme.Buffers(u.shape)
+    reps = Replicas(u, np.zeros(lead), np.zeros(lead, bool), np.full(lead, np.nan), None)
+    reps, _ = em_step(reps, 0, live, cfg, mat, ws, grid, base_dt, e_max, bufs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for step in range(1, 11):
+            reps, aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, e_max, bufs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert not aborts and np.array_equal(reps.t, np.where(live, 11 * base_dt, 0.0))
+    assert peak < u.nbytes
+
+
 def test_run_replicas_equal_lone_runs_bit_for_bit(mat):
     # one stack mixing plain runs, threshold stops, halved steps and a
     # positivity abort; every replica must be its lone run exactly

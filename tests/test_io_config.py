@@ -169,6 +169,21 @@ def test_cli_rejects_non_finite_config_numbers(tmp_path, capsys, section, key, v
     assert "non-finite number" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("section, key, literal, message", [
+    ("noise", "trunc_C", "1e999", "non-finite number 1e999"),
+    ("initial", "base", "1e999", "non-finite number 1e999"),
+    ("noise", "trunc_C", "1" + "0" * 400, "out of range"),
+])
+def test_cli_rejects_config_numbers_that_overflow(tmp_path, capsys, section, key,
+                                                  literal, message):
+    # valid JSON numbers that a double cannot hold
+    path = write_config(tmp_path, **{section: {key: 1.0}})
+    path.write_text(path.read_text().replace(f'"{key}": 1.0', f'"{key}": {literal}'))
+    assert literal in path.read_text()
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().out
+
+
 def test_nonpositive_initial_is_rejected(tmp_path):
     path = write_config(tmp_path, initial={"kind": "cosine-perturbed",
                                            "base": 1.0, "amplitude": 1.5})

@@ -18,6 +18,40 @@ def test_prototype_values_at_one(mat):
     assert mat.d2F(1.0) == pytest.approx(66.0, abs=1e-12)
 
 
+def pow_potential(pot, u):
+    """F and F' of a PowerPairPotential through pow, term by term."""
+    a, b = pot.exp_high, pot.exp_low
+    f = pot.coef_high * u ** (-a) - pot.coef_low * u ** (-b) + pot.const
+    df = -pot.coef_high * a * u ** (-a - 1) + pot.coef_low * b * u ** (-b - 1)
+    scale_f = pot.coef_high * u ** (-a) + pot.coef_low * u ** (-b) + abs(pot.const)
+    scale_df = pot.coef_high * a * u ** (-a - 1) + pot.coef_low * b * u ** (-b - 1)
+    return f, df, scale_f, scale_df
+
+
+@pytest.mark.parametrize("pot", [PowerPairPotential(),
+                                 PowerPairPotential(2.0, 4.0, 0.5, 3.0, 0.0),
+                                 PowerPairPotential(1.5, 7.0, 1.0, 1.0, 1.0)])
+def test_integer_exponents_stay_within_8_eps_of_pow(pot):
+    # the powers come from one reciprocal by repeated squaring; measured
+    # relative to the sum of the terms' magnitudes, since F' has a root
+    u = np.exp(np.random.default_rng(3).uniform(-3.0, 3.0, 20000))
+    f, df, scale_f, scale_df = pow_potential(pot, u)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(pot.f(u) - f) <= 8 * eps * scale_f)
+    assert np.all(np.abs(pot.df(u) - df) <= 8 * eps * scale_df)
+    assert not np.array_equal(pot.df(u), df)  # the squaring path is the one under test
+
+
+def test_non_integer_exponents_give_pow_bit_for_bit():
+    pot = PowerPairPotential(1.0, 8.5, 1.0, 2.5, 1.0)
+    u = np.exp(np.random.default_rng(4).uniform(-3.0, 3.0, 2000))
+    f, df, _, _ = pow_potential(pot, u)
+    assert np.array_equal(pot.f(u), f) and np.array_equal(pot.df(u), df)
+    mat = Material(p=8.5, potential=pot, strat_shift=0.3)
+    assert np.array_equal(mat.potential_F(u), f + 0.3 * (u - np.log(u)))
+    assert np.array_equal(mat.dF(u), df + 0.3 * (1.0 - 1.0 / u))
+
+
 def test_zero_strat_shift_reduces_to_prototype(mat):
     shifted = Material(strat_shift=0.0)
     for u in (0.5, 1.0, 2.0):

@@ -204,9 +204,30 @@ def test_stacked_kernel_and_noise_equal_each_field(rng):
         assert np.array_equal(noise[r], scheme.diffusion_values(u, grid, w[0, r], w[1, r]))
 
 
+def test_kernel_on_reused_buffers_equals_fresh_calls(rng):
+    # consecutive states through one buffer set: each call equals a fresh
+    # call bit for bit, and the previous state's drift and neighbor
+    # differences survive the next state's evaluation
+    mat = Material(strat_shift=0.3)
+    grid = Grid(24, 16, 1.5, 0.8)
+    states = [np.stack([positive_field(rng, grid).values for _ in range(2)]) for _ in range(4)]
+    bufs = scheme.Buffers(states[0].shape)
+    prev = None
+    for u in states:
+        terms = scheme.state_terms(u, mat, grid, bufs)
+        fresh = scheme.state_terms(u.copy(), mat, grid)
+        for got, want in zip(terms, fresh):
+            assert np.array_equal(np.asarray(got), np.asarray(want))
+        if prev is not None:
+            held, want = prev
+            for name in ("drift", "du_x", "du_y"):
+                assert np.array_equal(getattr(held, name), getattr(want, name))
+        prev = (terms, fresh)
+
+
 def test_stopped_zeroes_everything(mat, rng, grid65):
     u = positive_field(rng, grid65)
-    rec = diagnostics.make_record(u, mat, t=0.0, stopped=True)
+    rec = diagnostics.make_record(u.values, u.grid, mat, t=0.0, stopped=True)
     assert rec.diss_x == 0.0 and rec.diss_y == 0.0
 
 
