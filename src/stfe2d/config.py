@@ -90,6 +90,14 @@ def _bounded_int(literal: str) -> int:
     return value
 
 
+def _integer(section: dict, name: str, key: str, default: int) -> int:
+    """An integral number such as 16 or 16.0; not a fraction, a boolean or a string."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"{name}.{key} must be an integer (got {value!r})")
+    return int(value)
+
+
 def load_config(path) -> Config:
     try:
         data = json.loads(Path(path).read_text(), parse_constant=_reject_constant,
@@ -142,8 +150,8 @@ def _build_noise(nz: dict, violations: list) -> NoiseModel | None:
         return NoiseModel(
             schedule=sched,
             trunc_C=float(nz.get("trunc_C", 1.0)),
-            mode_cap=int(nz.get("mode_cap", 64)),
-            seed=int(nz.get("seed", 0)),
+            mode_cap=_integer(nz, "noise", "mode_cap", 64),
+            seed=_integer(nz, "noise", "seed", 0),
             interpretation=str(nz.get("interpretation", "ito")),
         )
     except (AssumptionError, NoiseConfigError, ValueError) as exc:
@@ -228,7 +236,8 @@ def assemble(cfg: Config) -> Bundle:
 
     grid = None
     try:
-        grid = Grid(nx=int(cfg.grid.get("nx", 32)), ny=int(cfg.grid.get("ny", 32)),
+        grid = Grid(nx=_integer(cfg.grid, "grid", "nx", 32),
+                    ny=_integer(cfg.grid, "grid", "ny", 32),
                     Lx=float(cfg.grid.get("Lx", 1.0)), Ly=float(cfg.grid.get("Ly", 1.0)))
         if not (grid.h < 1.0):
             violations.append(
@@ -249,9 +258,9 @@ def assemble(cfg: Config) -> Bundle:
             dt=None if rn.get("dt") in (None, "auto") else float(rn["dt"]),
             e_max_C=float(rn.get("e_max_C", 10.0)),
             u_floor=float(rn.get("u_floor", 1e-10)),
-            max_halvings=int(rn.get("max_halvings", 20)),
+            max_halvings=_integer(rn, "run", "max_halvings", 20),
             snapshot_times=tuple(float(t) for t in rn.get("snapshot_times", ())),
-            diag_interval=int(rn.get("diag_interval", 1)),
+            diag_interval=_integer(rn, "run", "diag_interval", 1),
             alpha=float(rn.get("alpha", 1.0)),
             kappa=float(rn.get("kappa", 1.0)),
         )

@@ -15,10 +15,7 @@ from .scheme import EnergyParts
 
 def energy_h(u: Field, mat: Material) -> EnergyParts:
     """Regularized discrete energy: gradient + potential + h^eps curvature."""
-    v, grid = u.values, u.grid
-    return scheme.energy_parts(v, fem.shift(v, -1, -1), fem.shift(v, -1, -2),
-                               fem.lap(v, grid), fem.lumped_integral(mat.potential_F(v), grid),
-                               mat, grid, np.empty_like(v))
+    return scheme.state_terms(u.values, mat, u.grid).energy
 
 
 def entropy_h(u: Field, mat: Material) -> float:
@@ -29,7 +26,8 @@ def entropy_h(u: Field, mat: Material) -> float:
 def r_functional(u: Field, mat: Material, alpha: float = 1.0, kappa: float = 1.0) -> float:
     if alpha <= 0 or kappa <= 0:
         raise ValueError("alpha and kappa must be positive")
-    return alpha + energy_h(u, mat).total + kappa * entropy_h(u, mat)
+    terms = scheme.state_terms(u.values, mat, u.grid)
+    return alpha + terms.energy.total + kappa * terms.entropy
 
 
 def threshold_energy(grid: Grid, mat: Material, e_max_C: float) -> float:

@@ -219,8 +219,9 @@ class Replicas(NamedTuple):
 
     ``u`` holds the nodal values, shape (*lead, ny, nx); the clocks ``t``,
     the flags ``stopped`` and the ``stop_time`` (nan while running) have
-    shape ``lead``; ``terms`` are ``scheme.state_terms(u)`` for the stepping
-    material (None: computed when needed).  lead = () is one trajectory.
+    shape ``lead``; ``terms`` are the kernel's ``scheme.state_terms(u)`` for
+    the stepping material, never None for a pending replica (live and not
+    stopped).  lead = () is one trajectory.
     """
 
     u: np.ndarray
@@ -238,16 +239,16 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
     the base step ``cfg.base_dt(grid, mat)`` and the threshold energy
     ``e_max``.
 
-    A frozen replica only advances its clock by the full step.  The others
-    freeze if their energy already reaches the threshold; otherwise they try
-    the full step and, while the update is not finite and above the floor,
-    halve it and redraw at attempt + 1.  Replicas that are not live, and
-    those that abort, keep their state.  Returns the new states and the
-    aborts, {replica index: OverflowAbort | PositivityAbort}.
+    A frozen replica only advances its clock by the full step.  The others,
+    which start below the threshold, try the full step and, while the update
+    is not finite and above the floor, halve it and redraw at attempt + 1;
+    an accepted state freezes if its energy reaches the threshold.  Replicas
+    that are not live, and those that abort, keep their state.  Returns the
+    new states and the aborts, {replica index: OverflowAbort | PositivityAbort}.
 
     Every field of the step is written into ``bufs``, the run's
-    ``scheme.Buffers`` (a fresh set when None): the new state's field and
-    terms stay valid through the next step on the same buffers.
+    ``scheme.Buffers`` (a fresh set when None): the new state's field stays
+    valid through the next step, and its terms until the next evaluation.
     """
     if bufs is None:
         bufs = scheme.Buffers(reps.u.shape)
@@ -256,14 +257,6 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
 
     terms, stopped, stop_time = reps.terms, reps.stopped, reps.stop_time
     pending = live & ~stopped
-    if pending.any():
-        if terms is None:
-            terms = scheme.state_terms(reps.u, mat, grid, bufs)
-        freeze = pending & (terms.energy.total >= e_max)
-        if freeze.any():
-            pending = pending & ~freeze
-            stopped = stopped | freeze
-            stop_time = np.where(freeze, reps.t, stop_time)
     t = reps.t
     if stopped.any():  # a frozen live replica advances its clock
         t = np.where(live & stopped, reps.t + dt_full, t)
@@ -325,14 +318,20 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
 def step_em(state: SimState, cfg: RunConfig, mat: Material,
             ws: NoiseWorkspace) -> SimState:
     """One Euler-Maruyama step (or a frozen clock advance once stopped): the
-    batch-of-one case of ``em_step``."""
-    grid = state.u.grid
-    stop_time = np.nan if state.stop_time is None else state.stop_time
-    start = Replicas(state.u.values, np.float64(state.t), np.bool_(state.stopped),
-                     np.float64(stop_time), None)
+    batch-of-one case of ``em_step``.  A running state whose energy reaches
+    the threshold freezes at ``state.t`` and only advances its clock."""
+    grid, u = state.u.grid, state.u.values
+    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
+    bufs = scheme.Buffers(u.shape)
+    stopped, stop_time, terms = state.stopped, state.stop_time, None
+    if not stopped:
+        terms = scheme.state_terms(u, mat, grid, bufs)
+        if terms.energy.total >= e_max:
+            stopped, stop_time = True, state.t
+    start = Replicas(u, np.float64(state.t), np.bool_(stopped),
+                     np.float64(np.nan if stop_time is None else stop_time), terms)
     new, aborts = em_step(start, state.step, np.True_, cfg, mat, ws, grid,
-                          cfg.base_dt(grid, mat),
-                          diagnostics.threshold_energy(grid, mat, cfg.e_max_C))
+                          cfg.base_dt(grid, mat), e_max, bufs)
     if aborts:
         raise aborts[()]
     return _state_of(new, (), state.step + 1, grid, state.initial_mass)

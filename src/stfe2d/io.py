@@ -54,6 +54,8 @@ def parse_snapshot_header(line: str) -> tuple[int, int, float, float, float]:
         raise SnapshotError(f"non-numeric snapshot header field: {line!r}") from None
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(f"unsupported snapshot version {parts[1]}")
+    if min(nx, ny) < 3 or not (0 < Lx < np.inf and 0 < Ly < np.inf and np.isfinite(t)):
+        raise SnapshotError(f"snapshot header field out of range: {line!r}")
     return nx, ny, Lx, Ly, t
 
 

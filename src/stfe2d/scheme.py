@@ -29,9 +29,10 @@ noise fields w_x, w_y at once, and its nodal sum also telescopes to zero.
 ``state_terms`` is the one-pass kernel the integrator calls once per
 accepted state: drift, energy parts, entropy, dissipation and oscillation
 ratio from one set of periodic neighbor arrays.  ``drift_values``,
-``dissipation`` and ``diagnostics.energy_h`` share its helpers.  The kernel
-writes every field into a ``Buffers`` set, which a run allocates once, so
-a step allocates no field; F and F' come from one reciprocal of u.
+``dissipation``, ``diagnostics.energy_h`` and ``diagnostics.r_functional``
+read their values from one kernel call.  The kernel writes every field
+into a ``Buffers`` set, which a run allocates once, so a step allocates no
+field; F and F' come from one reciprocal of u.
 
 The kernel and the noise operator take one field of shape (ny, nx) or a
 stack of replica fields of shape (R, ny, nx): shifts act on the two grid
@@ -93,9 +94,9 @@ class Buffers:
     (*lead, ny, nx) and allocated once.
 
     ``scratch`` holds the kernel's and the noise increment's work arrays;
-    ``state_terms`` fills the two slots of output fields (drift, du_x,
-    du_y) in turn, so the terms of the last state stay valid while those of
-    the next are computed; the Euler-Maruyama candidate is built in
+    ``state_terms`` writes the output fields (drift, du_x, du_y) into the
+    one ``slot``, so a state's terms stay valid until the next state is
+    evaluated on the same buffers; the Euler-Maruyama candidate is built in
     whichever of the two ``fields`` does not hold the current state.
     """
 
@@ -107,13 +108,7 @@ class Buffers:
         # the first two scratch fields in the noise fields' (*lead, 2, ny, nx) layout
         self.noise = np.moveaxis(block[:2], 0, -3)
         self.fields = tuple(np.empty((2, *shape)))
-        self._slots = np.empty((2, 3, *shape))
-        self._turn = 1
-
-    def next_slot(self) -> np.ndarray:
-        """The output slot (drift, du_x, du_y) not holding the last terms."""
-        self._turn ^= 1
-        return self._slots[self._turn]
+        self.slot = tuple(np.empty((3, *shape)))
 
     def free_field(self, u: np.ndarray) -> np.ndarray:
         """The candidate field that is not ``u``."""
@@ -166,12 +161,12 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid,
     The Laplacian, the pressure and the periodic neighbors of u are each
     formed once and shared.  Every field is written into ``out`` (a fresh
     set when None): the returned drift and neighbor differences into its
-    next output slot, the rest into its scratch.
+    output slot, the rest into its scratch.
     """
     if out is None:
         out = Buffers(u.shape)
     check_positive(u)  # the one scan: no division by u comes before it
-    drift, du_x, du_y = out.next_slot()
+    drift, du_x, du_y = out.slot
     east, north, lap_u, p, t1, t2, t3 = out.scratch
     # F is summed at once and F' kept for the pressure; the drift slot is
     # free scratch until the fluxes fill it
@@ -183,29 +178,21 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid,
     fem.shift(u, -1, -2, out=north)
     fem.second_difference(east, u, west, grid.hx, out=lap_u)
     lap_u += fem.second_difference(north, u, south, grid.hy, out=t1)
-    energy = energy_parts(u, east, north, lap_u, e_pot, mat, grid, t1)
+    # the energy parts: gradient, potential (summed above) and h^eps curvature
+    grad = np.subtract(east, u, out=t1)
+    grad /= grid.hx
+    e_dir = fem.inner_h(grad, grad, grid, out=grad)
+    grad = np.subtract(north, u, out=t1)
+    grad /= grid.hy
+    e_dir = 0.5 * (e_dir + fem.inner_h(grad, grad, grid, out=grad))
+    e_curv = 0.5 * mesh_weight(grid, mat.eps) * fem.inner_h(lap_u, lap_u, grid, out=t1)
+    energy = EnergyParts(e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
     osc = oscillation(u, east, west, (t1, t2, t3))
     np.subtract(east, west, out=du_x)
     np.subtract(north, south, out=du_y)
     _pressure(lap_u, p, mat, grid, (t1, t2, t3, drift))
     diss_x, diss_y = edge_fluxes(u, east, north, p, grid, drift, (lap_u, t1))
     return StateTerms(drift, energy, entropy, diss_x, diss_y, osc, du_x, du_y)
-
-
-def energy_parts(u: np.ndarray, east: np.ndarray, north: np.ndarray,
-                 lap_u: np.ndarray, e_pot, mat: Material, grid: Grid,
-                 tmp: np.ndarray) -> EnergyParts:
-    """Gradient + potential + h^eps curvature energy from the east and north
-    neighbors and the Laplacian of u, the potential energy ``e_pot`` and
-    one scratch array ``tmp``."""
-    grad = np.subtract(east, u, out=tmp)
-    grad /= grid.hx
-    e_dir = fem.inner_h(grad, grad, grid, out=grad)
-    grad = np.subtract(north, u, out=tmp)
-    grad /= grid.hy
-    e_dir = 0.5 * (e_dir + fem.inner_h(grad, grad, grid, out=grad))
-    e_curv = 0.5 * mesh_weight(grid, mat.eps) * fem.inner_h(lap_u, lap_u, grid, out=tmp)
-    return EnergyParts(e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
 
 
 def edge_fluxes(u: np.ndarray, east: np.ndarray, north: np.ndarray, p: np.ndarray,
@@ -229,21 +216,14 @@ def edge_fluxes(u: np.ndarray, east: np.ndarray, north: np.ndarray, p: np.ndarra
     return diss[0], diss[1]
 
 
-def _drift_and_dissipation(u: np.ndarray, mat: Material, grid: Grid):
-    drift = np.empty_like(u)
-    diss = edge_fluxes(u, fem.shift(u, -1, -1), fem.shift(u, -1, -2),
-                       pressure_values(u, mat, grid), grid, drift, _fresh(u, 2))
-    return drift, *diss
-
-
 def drift_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
-    return _drift_and_dissipation(u, mat, grid)[0]
+    return state_terms(u, mat, grid).drift
 
 
 def dissipation(u: Field, mat: Material) -> tuple[float, float]:
     """Mobility-weighted squared pressure gradients (x and y parts)."""
-    _, diss_x, diss_y = _drift_and_dissipation(u.values, mat, u.grid)
-    return diss_x, diss_y
+    terms = state_terms(u.values, mat, u.grid)
+    return terms.diss_x, terms.diss_y
 
 
 # ---------------------------------------------------------------------------

