@@ -10,6 +10,7 @@ node (i, j) and ``values.ravel()`` yields the canonical flat layout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,9 @@ class Grid:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid needs nx, ny >= 3 (got {self.nx} x {self.ny})")
-        if not (self.Lx > 0 and self.Ly > 0):
-            raise ValueError(f"domain lengths must be positive (got {self.Lx}, {self.Ly})")
+        if not all(math.isfinite(L) and L > 0 for L in (self.Lx, self.Ly)):
+            raise ValueError(
+                f"domain lengths must be finite and positive (got {self.Lx}, {self.Ly})")
 
     @property
     def hx(self) -> float:

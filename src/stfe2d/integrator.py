@@ -153,6 +153,12 @@ class NoiseWorkspace:
     mode m: shape (2, M) for one seed, (R, 2, M) for a stack of replicas
     with one seed each, whose fields then carry the replica axis first.
     ``half`` holds C^T gx of each field between the two products.
+
+    ``build`` works on whole arrays: the mode indices come from
+    ``noise.mode_indices``, one ``noise.mode_keys`` call mixes the keys of
+    both components and every seed, ``lam`` is the schedule's
+    ``lambda_table`` and ``gx``, ``gy`` are ``noise.basis_table`` rows.  Each
+    equals its mode-by-mode value bit for bit.
     """
 
     modes: tuple
@@ -168,21 +174,16 @@ class NoiseWorkspace:
         """Workspace of ``model``, or of one replica of it per entry of
         ``seeds`` (a sequence of seeds)."""
         r = noise.truncation_radius(model, grid.h, eps)
-        modes = tuple(noise.truncation_set(model, grid.h, eps))
-        x = grid.hx * np.arange(grid.nx)
-        y = grid.hy * np.arange(grid.ny)
-
-        def keys(seed):
-            return np.stack([noise.mode_keys(seed, c, modes) for c in (0, 1)])
-
-        stream_keys = keys(model.seed) if seeds is None else np.stack([keys(s) for s in seeds])
+        ks, ls = noise.mode_indices(r)
+        seed = model.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)[:, None, None]
+        keys = noise.mode_keys(seed, np.arange(2)[:, None], ks, ls)
         return cls(
-            modes=modes,
-            gx=np.array([noise.basis_1d(k, x, grid.Lx) for k in range(-r, r + 1)]),
-            gy=np.array([noise.basis_1d(l, y, grid.Ly) for l in range(-r, r + 1)]),
-            lam=np.stack(model.lambda_arrays(modes)),
-            keys=stream_keys,
-            half=np.empty((*stream_keys.shape[:-1], 2 * r + 1, grid.nx)),
+            modes=tuple(zip(ks.tolist(), ls.tolist())),
+            gx=noise.basis_table(r, grid.hx * np.arange(grid.nx), grid.Lx),
+            gy=noise.basis_table(r, grid.hy * np.arange(grid.ny), grid.Ly),
+            lam=model.schedule.lambda_table(r).reshape(2, -1),
+            keys=keys,
+            half=np.empty((*keys.shape[:-1], 2 * r + 1, grid.nx)),
         )
 
     @cached_property

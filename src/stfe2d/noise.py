@@ -24,7 +24,6 @@ bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -67,9 +66,22 @@ class PowerLawSchedule:
                 f"(B3) violated: power-law decay exponent s = {self.s:g} must exceed 3 "
                 "for colored noise with W^(2,inf)-summable modes")
 
-    def lambda_xy(self, k: int, l: int) -> tuple[float, float]:
-        lam = self.lambda0 * (1.0 + k * k + l * l) ** (-self.s / 2.0)
-        return lam, lam
+    def lambda_table(self, r: int) -> np.ndarray:
+        """lambda[c, k+r, l+r] of the square |k|, |l| <= r, component c.
+
+        Python's float power runs once per distinct k^2 + l^2: the bases
+        1 + k^2 + l^2 are exact, so each mode gets its scalar formula's value
+        (np.power rounds differently from pow in the last bit).
+        """
+        axis = np.arange(-r, r + 1)
+        q = axis[:, None] ** 2 + axis ** 2
+        present = np.zeros(2 * r * r + 1, dtype=bool)
+        present[q] = True
+        radii = np.flatnonzero(present)
+        lookup = np.zeros(len(present))
+        lookup[radii] = [self.lambda0 * (1.0 + v) ** (-self.s / 2.0) for v in radii.tolist()]
+        lam = lookup[q]
+        return np.stack((lam, lam))
 
     @property
     def symmetric(self) -> bool:
@@ -101,8 +113,15 @@ class TableSchedule:
             object.__setattr__(self, "_lookup", cached)
         return cached
 
-    def lambda_xy(self, k: int, l: int) -> tuple[float, float]:
-        return self._dict().get((k, l), (0.0, 0.0))
+    def lambda_table(self, r: int) -> np.ndarray:
+        """lambda[c, k+r, l+r] of the square |k|, |l| <= r, component c;
+        entries outside the square are dropped."""
+        at = np.array([mode for mode, _ in self.table], dtype=np.int64).reshape(-1, 2) + r
+        lam = np.array([lam for _, lam in self.table], dtype=np.float64).reshape(-1, 2)
+        inside = ((at >= 0) & (at <= 2 * r)).all(axis=1)
+        out = np.zeros((2, 2 * r + 1, 2 * r + 1))
+        out[:, at[inside, 0], at[inside, 1]] = lam[inside].T
+        return out
 
     @property
     def symmetric(self) -> bool:
@@ -147,11 +166,6 @@ class NoiseModel:
         return NoiseModel(self.schedule, self.trunc_C, self.mode_cap, seed,
                           self.interpretation)
 
-    def lambda_arrays(self, modes: Sequence[tuple[int, int]]):
-        lx = np.array([self.schedule.lambda_xy(k, l)[0] for k, l in modes])
-        ly = np.array([self.schedule.lambda_xy(k, l)[1] for k, l in modes])
-        return lx, ly
-
 
 def truncation_radius(model: NoiseModel, h: float, eps: float) -> int:
     """Largest admissible |k| (= |l|): min(trunc_C * h^(-eps/2), mode_cap)."""
@@ -162,13 +176,19 @@ def truncation_radius(model: NoiseModel, h: float, eps: float) -> int:
     return min(int(np.floor(bound * (1.0 + 1e-12) + 1e-12)), model.mode_cap)
 
 
+def mode_indices(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """k and l of the square {|k|, |l| <= r}, k outer and l inner."""
+    axis = np.arange(-r, r + 1)
+    return np.repeat(axis, 2 * r + 1), np.tile(axis, 2 * r + 1)
+
+
 def truncation_set(model: NoiseModel, h: float, eps: float) -> list[tuple[int, int]]:
     """Active modes {(k,l): |k|,|l| <= radius}, lexicographically ordered.
 
     The radius grows monotonically as h decreases, so the sets are nested.
     """
-    r = truncation_radius(model, h, eps)
-    return [(k, l) for k in range(-r, r + 1) for l in range(-r, r + 1)]
+    ks, ls = mode_indices(truncation_radius(model, h, eps))
+    return list(zip(ks.tolist(), ls.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +202,17 @@ def basis_1d(k: int, coords: np.ndarray, L: float) -> np.ndarray:
     if k == 0:
         return np.full_like(coords, 1.0 / np.sqrt(L))
     return scale * np.sin(2.0 * np.pi * k * coords / L)
+
+
+def basis_table(r: int, coords: np.ndarray, L: float) -> np.ndarray:
+    """Rows g_k(coords) for k = -r..r, equal to the ``basis_1d`` rows."""
+    arg = (2.0 * np.pi * np.arange(-r, r + 1))[:, None] * coords / L
+    g = np.empty_like(arg)
+    np.sin(arg[:r], out=g[:r])
+    np.cos(arg[r + 1:], out=g[r + 1:])
+    g *= np.sqrt(2.0 / L)
+    g[r] = 1.0 / np.sqrt(L)
+    return g
 
 
 def basis_eval(k: int, l: int, grid: Grid) -> Field:
@@ -219,13 +250,18 @@ def _mix64_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def mode_keys(seed: int, component: int, modes: Sequence[tuple[int, int]]) -> np.ndarray:
-    """64-bit stream key per (seed, component, k, l); component 0 = x, 1 = y."""
-    ks = np.array([k for k, _ in modes], dtype=np.int64)
-    ls = np.array([l for _, l in modes], dtype=np.int64)
+def mode_keys(seed, component, ks, ls) -> np.ndarray:
+    """64-bit stream keys of (seed, component, k, l); component 0 = x, 1 = y.
+
+    The four arguments broadcast against each other, so one call keys both
+    components of every seed of a stack: seeds of shape (R, 1, 1) and
+    components of shape (2, 1) against ks and ls of shape (M,) give (R, 2, M).
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    ls = np.asarray(ls, dtype=np.int64)
     with np.errstate(over="ignore"):
-        x = _mix64(U64(seed) + U64(0x9E3779B97F4A7C15))
-        x = _mix64(x ^ (U64(component) + U64(0xD1B54A32D192ED03)))
+        x = _mix64(np.asarray(seed, dtype=np.uint64) + U64(0x9E3779B97F4A7C15))
+        x = _mix64(x ^ (np.asarray(component, dtype=np.uint64) + U64(0xD1B54A32D192ED03)))
         x = _mix64(x + (ks + np.int64(2**31)).astype(np.uint64) * U64(0x8CB92BA72F3D8DD7))
         x = _mix64(x + (ls + np.int64(2**31)).astype(np.uint64) * U64(0xA24BAED4963EE407))
     return x
@@ -293,12 +329,17 @@ def strat_constant(model: NoiseModel, Lx: float, Ly: float) -> float:
     if not model.schedule.symmetric:
         raise NoiseConfigError(STRAT_SYMMETRY_ERROR)
     cap = model.mode_cap
-    lam2 = lambda k, l: model.schedule.lambda_xy(k, l)[0] ** 2
-    total = lam2(0, 0)
-    total += 2.0 * sum(lam2(k, 0) for k in range(1, cap + 1))
-    total += 2.0 * sum(lam2(0, l) for l in range(1, cap + 1))
-    total += 4.0 * sum(lam2(k, l)
-                       for k in range(1, cap + 1) for l in range(1, cap + 1))
+    lam = model.schedule.lambda_table(cap)[0, cap:, cap:]  # k, l >= 0
+
+    def sum_sq(a):
+        # Python floats summed in (k, l) order; pow(v, 2) and v * v differ
+        # in the last bit for some v, so the square is Python's too
+        return sum(v ** 2 for v in a.ravel().tolist())
+
+    total = sum_sq(lam[:1, :1])
+    total += 2.0 * sum_sq(lam[1:, 0])
+    total += 2.0 * sum_sq(lam[0, 1:])
+    total += 4.0 * sum_sq(lam[1:, 1:])
     return total / (Lx * Ly)
 
 
@@ -308,8 +349,7 @@ def b3star_monitor(model: NoiseModel, h: float, eps: float) -> float:
     Surrogate for the W^(3,inf) mass of the active modes; should stay
     bounded along mesh refinement for an admissible schedule.
     """
-    modes = truncation_set(model, h, eps)
-    lx, ly = model.lambda_arrays(modes)
-    ks = np.array([abs(k) for k, _ in modes], dtype=float)
-    ls = np.array([abs(l) for _, l in modes], dtype=float)
+    r = truncation_radius(model, h, eps)
+    lx, ly = model.schedule.lambda_table(r).reshape(2, -1)
+    ks, ls = (np.abs(a).astype(float) for a in mode_indices(r))
     return float(h**eps * ((lx**2 + ly**2) * (ks**3 + ls**3) ** 2).sum())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,18 @@ from hypothesis import strategies as st
 from conftest import interpolant_evaluator
 from stfe2d import fem, oracle
 from stfe2d.grid import Field, Grid
+
+
+# ---------------------------------------------------------------------------
+# grid
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("axis", ["Lx", "Ly"])
+def test_grid_rejects_non_finite_lengths(axis, bad):
+    lengths = {"Lx": 1.0, "Ly": 1.0, axis: bad}
+    with pytest.raises(ValueError, match="domain lengths"):
+        Grid(4, 4, **lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from stfe2d.grid import Grid
 from stfe2d.integrator import NoiseWorkspace
 from stfe2d.material import AssumptionError
 from stfe2d.noise import (NoiseConfigError, NoiseModel, PowerLawSchedule,
-                          TableSchedule, b3star_monitor, basis_eval,
+                          TableSchedule, b3star_monitor, basis_1d, basis_eval,
                           mode_keys, standard_normals, step_counter,
                           strat_constant, truncation_set)
 
@@ -87,8 +87,9 @@ def test_truncation_nesting_and_cap():
 
 def _draws(model, modes, step, attempt=0):
     ctr = step_counter(step, attempt)
-    return (standard_normals(mode_keys(model.seed, 0, modes), ctr),
-            standard_normals(mode_keys(model.seed, 1, modes), ctr))
+    ks, ls = np.array(modes).T
+    return (standard_normals(mode_keys(model.seed, 0, ks, ls), ctr),
+            standard_normals(mode_keys(model.seed, 1, ks, ls), ctr))
 
 
 def test_increment_determinism():
@@ -106,10 +107,10 @@ def test_increment_determinism():
 def test_draws_are_pinned():
     # values recorded before the two components were drawn in one call;
     # any change to the keys, the counter mix or Box-Muller shows here
-    keys = mode_keys(7, 0, [(1, 0), (0, 1), (-2, 3)])
+    keys = mode_keys(7, 0, [1, 0, -2], [0, 1, 3])
     assert standard_normals(keys, step_counter(5, 2)).tolist() == [
         -0.23053132524630834, -0.932572054387061, 0.3447147335520032]
-    keys = mode_keys(2**64 - 1, 1, [(0, 0), (-64, 64)])
+    keys = mode_keys(2**64 - 1, 1, [0, -64], [0, 64])
     assert standard_normals(keys, step_counter(123456789, 63)).tolist() == [
         -0.08410306399541692, 1.3051083756163735]
 
@@ -121,10 +122,11 @@ def test_stacked_keys_draw_like_separate_calls():
     assert ws.keys.shape == (3, 2, len(modes))
     ctr = step_counter(4, 1)
     stacked = standard_normals(ws.keys, ctr)
+    ks, ls = np.array(modes).T
     for r, seed in enumerate([31, 5, 31]):
         for c in (0, 1):
             assert np.array_equal(stacked[r, c],
-                                  standard_normals(mode_keys(seed, c, modes), ctr))
+                                  standard_normals(mode_keys(seed, c, ks, ls), ctr))
 
 
 def test_surviving_modes_unchanged_under_truncation_shrink():
@@ -141,7 +143,7 @@ def test_surviving_modes_unchanged_under_truncation_shrink():
 
 def test_gaussian_moments_across_steps():
     dt = 0.37
-    keys = mode_keys(123, 0, [(2, -1)])
+    keys = mode_keys(123, 0, [2], [-1])
     counters = step_counter(np.arange(100000), 0)
     draws = np.sqrt(dt) * standard_normals(keys, counters)
     n = draws.size
@@ -151,11 +153,53 @@ def test_gaussian_moments_across_steps():
 
 def test_mode_streams_uncorrelated():
     ctrs = step_counter(np.arange(10000), 0)
-    d1 = standard_normals(mode_keys(7, 0, [(1, 0)]), ctrs)
-    d2 = standard_normals(mode_keys(7, 0, [(0, 1)]), ctrs)
-    d3 = standard_normals(mode_keys(7, 1, [(1, 0)]), ctrs)
+    d1 = standard_normals(mode_keys(7, 0, [1], [0]), ctrs)
+    d2 = standard_normals(mode_keys(7, 0, [0], [1]), ctrs)
+    d3 = standard_normals(mode_keys(7, 1, [1], [0]), ctrs)
     assert abs(np.corrcoef(d1, d2)[0, 1]) <= 0.05
     assert abs(np.corrcoef(d1, d3)[0, 1]) <= 0.05
+
+
+def _per_mode_workspace(model, grid, eps, seeds):
+    """modes, keys, lam, gx, gy of a workspace, built one mode at a time."""
+    modes = truncation_set(model, grid.h, eps)
+    r = max(k for k, _ in modes)
+    sched = model.schedule
+    if isinstance(sched, PowerLawSchedule):
+        lam = [(v, v) for v in (sched.lambda0 * (1.0 + k * k + l * l) ** (-sched.s / 2.0)
+                                for k, l in modes)]
+    else:
+        lam = [dict(sched.table).get(m, (0.0, 0.0)) for m in modes]
+    keys = np.array([[[mode_keys(seed, c, k, l) for k, l in modes] for c in (0, 1)]
+                     for seed in ([model.seed] if seeds is None else seeds)])
+    x = grid.hx * np.arange(grid.nx)
+    y = grid.hy * np.arange(grid.ny)
+    return (tuple(modes), keys[0] if seeds is None else keys, np.array(lam).T,
+            np.array([basis_1d(k, x, grid.Lx) for k in range(-r, r + 1)]),
+            np.array([basis_1d(l, y, grid.Ly) for l in range(-r, r + 1)]))
+
+
+_ASYMMETRIC_TABLE = TableSchedule.from_dict({
+    (1, 0): (0.5, 0.25), (-1, 0): 0.3, (0, 2): (0.1, 0.7), (2, -1): (0.0, 0.4),
+    (9, 9): 1.0, (-50, 3): 2.0, (3, 40): (0.2, 0.1)})
+
+
+@pytest.mark.parametrize("model, grid, seeds", [
+    # radius 16: np.power differs from pow on some of these modes
+    (NoiseModel(PowerLawSchedule(), trunc_C=4.0, seed=0), Grid(16, 16, 1.0, 1.0), None),
+    (NoiseModel(PowerLawSchedule(), trunc_C=2.0), Grid(16, 16, 1.0, 1.0), [0, 2**64 - 1, 7]),
+    (NoiseModel(PowerLawSchedule(0.3, 3.5), trunc_C=4.0, seed=2**64 - 1),
+     Grid(24, 16, 1.5, 0.8), None),
+    (NoiseModel(_ASYMMETRIC_TABLE, trunc_C=1.0), Grid(24, 16, 1.5, 0.8), [3, 1, 4]),
+])
+def test_workspace_build_equals_per_mode_reference(model, grid, seeds):
+    ws = NoiseWorkspace.build(model, grid, 1.0, seeds)
+    modes, keys, lam, gx, gy = _per_mode_workspace(model, grid, 1.0, seeds)
+    assert ws.modes == modes
+    assert ws.keys.dtype == np.uint64 and ws.keys.shape == keys.shape
+    assert (ws.keys == keys).all()
+    for got, want in ((ws.lam, lam), (ws.gx, gx), (ws.gy, gy)):
+        assert got.shape == want.shape and (got == want).all()
 
 
 def test_attempt_slot_bounds():
@@ -239,6 +283,16 @@ def test_strat_constant_random_symmetric_schedules_match_mode_sum():
         for x, y in pts:
             bf = brute_force_intensity(lam2, cap, Lx, Ly, x * Lx, y * Ly)
             assert abs(got - bf) <= 1e-14 * max(1.0, abs(got))
+
+
+def test_strat_constant_is_pinned():
+    # values of the mode-by-mode sum of Python floats, in (k, l) order
+    sym = TableSchedule.from_dict({(k, l): 1.0 / (1 + abs(k) + 2 * abs(l))
+                                   for k in range(-3, 4) for l in range(-3, 4)})
+    for schedule, expected in ((PowerLawSchedule(), 0.010949989354842708),
+                               (PowerLawSchedule(0.3, 3.5), 0.1106646414018928),
+                               (sym, 2.598748635256571)):
+        assert strat_constant(NoiseModel(schedule), 1.5, 0.8) == expected
 
 
 def test_strat_constant_rejects_asymmetric():

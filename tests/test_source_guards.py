@@ -21,3 +21,17 @@ def test_no_np_roll_outside_the_oracle():
                 calls.append(f"{path.name}:{node.lineno}")
     assert len(list(SRC.glob("*.py"))) > 1
     assert calls == []
+
+
+def test_noise_workspace_build_has_no_python_loop():
+    # the workspace is built from whole arrays; a loop or comprehension over
+    # the modes or the seeds would cost milliseconds per run at n = 128
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    checked = {"build": "integrator.py", "mode_indices": "noise.py",
+               "mode_keys": "noise.py", "basis_table": "noise.py"}
+    found = {}
+    for name, file in checked.items():
+        tree = ast.parse((SRC / file).read_text())
+        [func] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
+        found[name] = [n.lineno for n in ast.walk(func) if isinstance(n, loops)]
+    assert found == {name: [] for name in checked}
