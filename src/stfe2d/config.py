@@ -1,7 +1,13 @@
 """JSON run configuration: parsing, strict validation, and object assembly.
 
-Unknown keys are errors (no silent typos).  Validation gathers every
-violation and reports each with the name of the assumption it breaks, e.g.
+Unknown keys are errors (no silent typos).  A key a section omits takes the
+default of the object it builds (``Grid``, ``PowerPairPotential``,
+``Material``, ``PowerLawSchedule``, ``NoiseModel``, ``RunConfig``), except
+for the configuration's own defaults: a 32x32 unit-square grid, t_max = 0,
+p taken from the potential, and the initial and output sections.  The
+Stratonovich shift is no key: it is the noise's correction constant, or 0
+for Ito noise.  Validation gathers every violation and reports each with
+the name of the assumption it breaks, e.g.
 "(R) violated: 2/p + eps/2 + rho/(2p) = 1.03 >= 1".
 """
 
@@ -18,7 +24,7 @@ import numpy as np
 from . import io as sio
 from .grid import Field, Grid
 from .integrator import RunConfig
-from .material import AssumptionError, Material, PowerPairPotential
+from .material import PROTOTYPE, AssumptionError, Material, PowerPairPotential
 from .noise import NoiseConfigError, NoiseModel, PowerLawSchedule, TableSchedule, strat_constant
 
 
@@ -26,20 +32,6 @@ class ConfigError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("invalid configuration:\n" + "\n".join(f"  - {v}" for v in self.violations))
-
-
-_SECTIONS = {
-    "grid": {"nx", "ny", "Lx", "Ly"},
-    "material": {"p", "eps", "rho", "potential", "strat"},
-    "noise": {"schedule", "lambda0", "s", "table", "trunc_C", "mode_cap", "seed",
-              "interpretation"},
-    "run": {"dt", "t_max", "e_max_C", "u_floor", "max_halvings", "snapshot_times",
-            "diag_interval", "alpha", "kappa"},
-    "initial": {"kind", "base", "amplitude", "path"},
-    "output": {"dir", "prefix"},
-}
-
-_POTENTIAL_KEYS = {"kind", "coef_high", "exp_high", "coef_low", "exp_low", "const"}
 
 
 @dataclass
@@ -50,6 +42,53 @@ class Config:
     run: dict = field(default_factory=dict)
     initial: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
+
+
+def _integer(value) -> int:
+    """An integral number such as 16 or 16.0; not a fraction, a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"must be an integer (got {value!r})")
+    return int(value)
+
+
+def _dt(value) -> float | None:
+    """null or "auto" selects the stability default."""
+    return None if value in (None, "auto") else float(value)
+
+
+# Each table maps a key, named after the constructor argument it fills, to
+# its converter; a key the section omits takes that object's default.
+_GRID = {"nx": _integer, "ny": _integer, "Lx": float, "Ly": float}
+_POTENTIAL = dict.fromkeys(("coef_high", "exp_high", "coef_low", "exp_low", "const"), float)
+_MATERIAL = {"p": float, "eps": float, "rho": float}
+_SCHEDULE = {"lambda0": float, "s": float}
+_NOISE = {"trunc_C": float, "mode_cap": _integer, "seed": _integer, "interpretation": str}
+_RUN = {"t_max": float, "dt": _dt, "e_max_C": float, "u_floor": float,
+        "max_halvings": _integer, "snapshot_times": lambda ts: tuple(map(float, ts)),
+        "diag_interval": _integer, "alpha": float, "kappa": float}
+
+_SECTIONS = {
+    "grid": {*_GRID},
+    "material": {*_MATERIAL, "potential"},
+    "noise": {*_SCHEDULE, *_NOISE, "schedule", "table"},
+    "run": {*_RUN},
+    "initial": {"kind", "base", "amplitude", "path"},
+    "output": {"dir", "prefix"},
+}
+_POTENTIAL_KEYS = {*_POTENTIAL, "kind"}
+
+
+def _fields(name: str, section: dict, table: dict) -> dict:
+    """The constructor arguments that ``section`` gives, through ``table``'s
+    converters; a converter's error names the key as ``name.key``."""
+    kwargs = {}
+    for key, convert in table.items():
+        if key in section:
+            try:
+                kwargs[key] = convert(section[key])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}.{key} {exc}") from None
+    return kwargs
 
 
 def _check_unknown(data: dict, violations: list):
@@ -90,14 +129,6 @@ def _bounded_int(literal: str) -> int:
     return value
 
 
-def _integer(section: dict, name: str, key: str, default: int) -> int:
-    """An integral number such as 16 or 16.0; not a fraction, a boolean or a string."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ValueError(f"{name}.{key} must be an integer (got {value!r})")
-    return int(value)
-
-
 def load_config(path) -> Config:
     try:
         data = json.loads(Path(path).read_text(), parse_constant=_reject_constant,
@@ -108,7 +139,7 @@ def load_config(path) -> Config:
         raise ConfigError(["top-level configuration must be an object"])
     violations: list[str] = []
     _check_unknown(data, violations)
-    cfg = Config(**{k: data.get(k, {}) for k in _SECTIONS})
+    cfg = Config(**{k: data[k] for k in _SECTIONS if isinstance(data.get(k), dict)})
     # assembly performs the semantic validation
     try:
         assemble(cfg)
@@ -136,8 +167,7 @@ def _build_noise(nz: dict, violations: list) -> NoiseModel | None:
     kind = nz.get("schedule", "power-law")
     try:
         if kind == "power-law":
-            sched = PowerLawSchedule(lambda0=float(nz.get("lambda0", 0.1)),
-                                     s=float(nz.get("s", 4.0)))
+            sched = PowerLawSchedule(**_fields("noise", nz, _SCHEDULE))
         elif kind == "table":
             table = {}
             for key, lam in dict(nz.get("table", {})).items():
@@ -147,13 +177,7 @@ def _build_noise(nz: dict, violations: list) -> NoiseModel | None:
         else:
             violations.append(f"unknown noise schedule {kind!r}")
             return None
-        return NoiseModel(
-            schedule=sched,
-            trunc_C=float(nz.get("trunc_C", 1.0)),
-            mode_cap=_integer(nz, "noise", "mode_cap", 64),
-            seed=_integer(nz, "noise", "seed", 0),
-            interpretation=str(nz.get("interpretation", "ito")),
-        )
+        return NoiseModel(sched, **_fields("noise", nz, _NOISE))
     except (AssumptionError, NoiseConfigError, ValueError) as exc:
         violations.append(str(exc))
         return None
@@ -161,38 +185,27 @@ def _build_noise(nz: dict, violations: list) -> NoiseModel | None:
 
 def _build_material(mt: dict, model: NoiseModel | None, grid: Grid | None,
                     violations: list) -> Material | None:
+    """The material; p defaults to the potential's leading exponent, and the
+    shift is the Stratonovich correction constant, or 0 for Ito noise."""
     pot_cfg = mt.get("potential", "prototype")
     try:
         if pot_cfg == "prototype" or pot_cfg is None:
-            pot = PowerPairPotential()
+            pot = PROTOTYPE
         elif isinstance(pot_cfg, dict):
             kind = pot_cfg.get("kind", "power-pair")
             if kind != "power-pair":
                 raise AssumptionError(f"unknown potential kind {kind!r}")
-            pot = PowerPairPotential(
-                coef_high=float(pot_cfg.get("coef_high", 1.0)),
-                exp_high=float(pot_cfg.get("exp_high", 8.0)),
-                coef_low=float(pot_cfg.get("coef_low", 1.0)),
-                exp_low=float(pot_cfg.get("exp_low", 2.0)),
-                const=float(pot_cfg.get("const", 1.0)),
-            )
+            pot = PowerPairPotential(**_fields("material.potential", pot_cfg, _POTENTIAL))
         else:
             raise AssumptionError(f"unknown potential entry {pot_cfg!r}")
 
-        shift = mt.get("strat", "auto")
-        if shift == "auto":
-            shift = 0.0
-            if model is not None and model.interpretation == "stratonovich":
-                if grid is None:
-                    raise AssumptionError("Stratonovich shift needs the domain size")
-                shift = strat_constant(model, grid.Lx, grid.Ly)
-        return Material(
-            p=float(mt.get("p", pot.exp_high)),
-            eps=float(mt.get("eps", 1.0)),
-            rho=float(mt.get("rho", 1.0)),
-            strat_shift=float(shift),
-            potential=pot,
-        )
+        shift = 0.0
+        if model is not None and model.interpretation == "stratonovich":
+            if grid is None:
+                raise AssumptionError("Stratonovich shift needs the domain size")
+            shift = strat_constant(model, grid.Lx, grid.Ly)
+        return Material(**{"p": pot.exp_high, **_fields("material", mt, _MATERIAL)},
+                        strat_shift=shift, potential=pot)
     except (AssumptionError, NoiseConfigError, ValueError) as exc:
         violations.append(str(exc))
         return None
@@ -202,9 +215,9 @@ def _build_initial(init: dict, grid: Grid | None, violations: list) -> Field | N
     if grid is None:
         return None
     kind = init.get("kind", "constant")
-    base = float(init.get("base", 1.0))
-    amp = float(init.get("amplitude", 0.0))
     try:
+        base = float(init.get("base", 1.0))
+        amp = float(init.get("amplitude", 0.0))
         if kind == "constant":
             u0 = Field.constant(grid, base)
         elif kind == "cosine-perturbed":
@@ -236,9 +249,8 @@ def assemble(cfg: Config) -> Bundle:
 
     grid = None
     try:
-        grid = Grid(nx=_integer(cfg.grid, "grid", "nx", 32),
-                    ny=_integer(cfg.grid, "grid", "ny", 32),
-                    Lx=float(cfg.grid.get("Lx", 1.0)), Ly=float(cfg.grid.get("Ly", 1.0)))
+        grid = Grid(**{"nx": 32, "ny": 32, "Lx": 1.0, "Ly": 1.0,
+                       **_fields("grid", cfg.grid, _GRID)})
         if not (grid.h < 1.0):
             violations.append(
                 f"(S) violated: mesh parameter h = {grid.h:g} must be below 1 "
@@ -252,18 +264,7 @@ def assemble(cfg: Config) -> Bundle:
 
     run_cfg = None
     try:
-        rn = cfg.run
-        run_cfg = RunConfig(
-            t_max=float(rn.get("t_max", 0.0)),
-            dt=None if rn.get("dt") in (None, "auto") else float(rn["dt"]),
-            e_max_C=float(rn.get("e_max_C", 10.0)),
-            u_floor=float(rn.get("u_floor", 1e-10)),
-            max_halvings=_integer(rn, "run", "max_halvings", 20),
-            snapshot_times=tuple(float(t) for t in rn.get("snapshot_times", ())),
-            diag_interval=_integer(rn, "run", "diag_interval", 1),
-            alpha=float(rn.get("alpha", 1.0)),
-            kappa=float(rn.get("kappa", 1.0)),
-        )
+        run_cfg = RunConfig(**{"t_max": 0.0, **_fields("run", cfg.run, _RUN)})
     except ValueError as exc:
         violations.append(str(exc))
 

@@ -3,7 +3,7 @@ oscillation ratio, mass, dissipation bookkeeping."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,12 +46,9 @@ def mass(u: Field) -> float:
     return fem.lumped_integral(u.values, u.grid)
 
 
-DIAG_COLUMNS = ("t", "mass", "u_min", "u_max", "E_dir", "E_pot", "E_curv",
-                "E_total", "S", "R", "osc", "diss_x", "diss_y", "stopped")
+class DiagRecord(NamedTuple):
+    """One diagnostics row; the field names are the CSV header."""
 
-
-@dataclass(frozen=True)
-class DiagRecord:
     t: float
     mass: float
     u_min: float
@@ -66,11 +63,6 @@ class DiagRecord:
     diss_x: float
     diss_y: float
     stopped: bool
-
-    def row(self) -> tuple:
-        return (self.t, self.mass, self.u_min, self.u_max, self.E_dir,
-                self.E_pot, self.E_curv, self.E_total, self.S, self.R,
-                self.osc, self.diss_x, self.diss_y, self.stopped)
 
 
 def make_record(u: np.ndarray, grid: Grid, mat: Material, t: float, stopped: bool,

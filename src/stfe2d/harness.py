@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -82,14 +82,12 @@ class EnsembleSummary:
     mass_drift_max: float
     outcomes: tuple
 
-    SUMMARY_COLUMNS = ("n_replicas", "n_aborted", "sup_R_mean", "sup_R_max",
-                       "sup_R_pbar_mean", "p_bar", "diss_mean", "diss_max",
-                       "stopped_fraction", "mass_drift_max")
-
     def summary_row(self) -> tuple:
-        return (self.n_replicas, self.n_aborted, self.sup_R_mean, self.sup_R_max,
-                self.sup_R_pbar_mean, self.p_bar, self.diss_mean, self.diss_max,
-                self.stopped_fraction, self.mass_drift_max)
+        """The values of ``SUMMARY_COLUMNS``: every field but ``outcomes``."""
+        return tuple(getattr(self, name) for name in self.SUMMARY_COLUMNS)
+
+
+EnsembleSummary.SUMMARY_COLUMNS = tuple(f.name for f in fields(EnsembleSummary)[:-1])
 
 
 def _outcome(replica: int, seed: int, result) -> ReplicaOutcome:
@@ -234,7 +232,7 @@ def _bilinear_on_gauss(vals, ga, gb):
             + v01 * (1 - a) * b + v11 * a * b)
 
 
-def _interp_level(grid: Grid, model, eps, k) -> dict:
+def _interp_level(grid: Grid, model, eps) -> dict:
     """L2 norms of (I - I_h^x){f_h g_h} and of its x-derivative.
 
     The product of two bilinear nodal interpolants is quadratic per cell in
@@ -272,9 +270,10 @@ def _interp_level(grid: Grid, model, eps, k) -> dict:
             "dx_l2": np.sqrt(cell * float((ddiff**2 * w2).sum()))}
 
 
-def _laplacian_level(grid: Grid, model, eps, k) -> dict:
-    """Error of the discrete eigenvalue of the cosine mode k against the
+def _laplacian_level(grid: Grid, model, eps) -> dict:
+    """Error of the discrete eigenvalue of the cosine mode k = 1 against the
     continuum one, and the stencil's deviation from it on the nodal mode."""
+    k = 1
     x, y = grid.node_coords()
     u = np.cos(2 * np.pi * k * x / grid.Lx) + 0.0 * y
     mu_h = -(4.0 / grid.hx**2) * np.sin(np.pi * k * grid.hx / grid.Lx) ** 2
@@ -283,7 +282,7 @@ def _laplacian_level(grid: Grid, model, eps, k) -> dict:
     return {"eig_err": abs(mu_h - mu), "stencil_dev": dev}
 
 
-def _ritz_level(grid: Grid, model, eps, k) -> dict:
+def _ritz_level(grid: Grid, model, eps) -> dict:
     """L2 and H1-seminorm errors of the gradient-matching projection of
     f = sin(2 pi x / Lx)."""
     def f(x, y):
@@ -307,14 +306,14 @@ def _ritz_level(grid: Grid, model, eps, k) -> dict:
             "h1": np.sqrt(cell * float((((dfx - dpa) ** 2 + dpb ** 2) * w2).sum()))}
 
 
-def _b3star_level(grid: Grid, model, eps, k) -> dict:
+def _b3star_level(grid: Grid, model, eps) -> dict:
     return {"monitor": b3star_monitor(model, grid.h, eps)}
 
 
 class Study(NamedTuple):
     """One refinement study: a row of ``STUDIES``."""
 
-    level: Callable[..., dict]  # (grid, model, eps, k) -> {metric: error} on one grid
+    level: Callable[..., dict]  # (grid, model, eps) -> {metric: error} on one grid
     fitted: tuple               # metrics that get a fitted log-log slope
     mesh: str                   # Grid attribute reported as the level's h
     levels: tuple               # default sizes n of the n x n grids
@@ -329,8 +328,7 @@ STUDIES = {
 
 
 def refinement_study(kind: str, ns, Lx: float = 1.0, Ly: float = 1.0,
-                     model: NoiseModel | None = None, eps: float = 1.0,
-                     k: int = 1) -> RateTable:
+                     model: NoiseModel | None = None, eps: float = 1.0) -> RateTable:
     """Study ``kind`` on the n x n grids of (0,Lx) x (0,Ly), n in ``ns``;
     ``model`` defaults to the default power-law noise."""
     ns = list(ns)
@@ -345,7 +343,7 @@ def refinement_study(kind: str, ns, Lx: float = 1.0, Ly: float = 1.0,
     for n in ns:
         grid = Grid(n, n, Lx, Ly)
         hs.append(getattr(grid, study.mesh))
-        rows.append(study.level(grid, model, eps, k))
+        rows.append(study.level(grid, model, eps))
     errors = {m: tuple(row[m] for row in rows) for m in rows[0]}
     return RateTable(
         kind=kind,

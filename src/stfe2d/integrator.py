@@ -66,8 +66,7 @@ class OverflowAbort(SimulationAbort):
         super().__init__(f"non-finite field values at step {step}")
 
 
-def stable_dt(grid: Grid, mat: Material, safety: float = 0.1,
-              mobility_scale: float = 1.0) -> float:
+def stable_dt(grid: Grid, mat: Material) -> float:
     """Default step: a tenth of the explicit stability bound of the drift.
 
     The pressure feeds h^eps * lap^2(u) into the mobility divergence, so the
@@ -75,17 +74,16 @@ def stable_dt(grid: Grid, mat: Material, safety: float = 0.1,
     next to the fourth-order one.  Both are bounded through the largest
     Laplacian stencil eigenvalue lam = 4/hx^2 + 4/hy^2:
 
-        mobility_scale * (lam^2 + h^eps * lam^3) * dt <= 2,
+        (lam^2 + h^eps * lam^3) * dt <= 2,
 
     and the h^eps lam^3 part dominates on practical grids.  Empirically the
-    energy decays monotonically below about half this bound; the default
-    safety factor 0.1 leaves comfortable margin for mobility and potential
+    energy decays monotonically below about half this bound; the safety
+    factor 0.1 leaves comfortable margin for mobility and potential
     variation.
     """
     heps = scheme.mesh_weight(grid, mat.eps)
     lam = 4.0 / grid.hx**2 + 4.0 / grid.hy**2
-    amplification = mobility_scale * (lam**2 + heps * lam**3)
-    return safety * 2.0 / amplification
+    return 0.1 * 2.0 / (lam**2 + heps * lam**3)
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ class NoiseWorkspace:
     equals its mode-by-mode value bit for bit.
     """
 
-    modes: tuple
     gx: np.ndarray
     gy: np.ndarray
     lam: np.ndarray        # (2, M): lambda_x and lambda_y of each mode
@@ -178,7 +175,6 @@ class NoiseWorkspace:
         seed = model.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)[:, None, None]
         keys = noise.mode_keys(seed, np.arange(2)[:, None], ks, ls)
         return cls(
-            modes=tuple(zip(ks.tolist(), ls.tolist())),
             gx=noise.basis_table(r, grid.hx * np.arange(grid.nx), grid.Lx),
             gy=noise.basis_table(r, grid.hy * np.arange(grid.ny), grid.Ly),
             lam=model.schedule.lambda_table(r).reshape(2, -1),
@@ -234,7 +230,7 @@ class Replicas(NamedTuple):
 
 def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
             ws: NoiseWorkspace, grid: Grid, base_dt: float, e_max: float,
-            bufs: scheme.Buffers | None = None) -> tuple[Replicas, dict]:
+            bufs: scheme.Buffers) -> tuple[Replicas, dict]:
     """One Euler-Maruyama step of the ``live`` replicas (a mask of shape
     lead), all at accepted-step index ``step``, with the run's constants:
     the base step ``cfg.base_dt(grid, mat)`` and the threshold energy
@@ -248,11 +244,9 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
     new states and the aborts, {replica index: OverflowAbort | PositivityAbort}.
 
     Every field of the step is written into ``bufs``, the run's
-    ``scheme.Buffers`` (a fresh set when None): the new state's field stays
-    valid through the next step, and its terms until the next evaluation.
+    ``scheme.Buffers``: the new state's field stays valid through the next
+    step, and its terms until the next evaluation.
     """
-    if bufs is None:
-        bufs = scheme.Buffers(reps.u.shape)
     dt_full = np.minimum(base_dt, cfg.t_max - reps.t)
     dt_full = np.where(dt_full > 0.0, dt_full, base_dt)  # past the horizon: a full step
 

@@ -8,8 +8,9 @@ followed by nx*ny little-endian IEEE float64 payload bytes, row-major with
 the y-index outermost.  Floats are printed with 17 significant digits, so a
 write/read round trip is bit-exact.
 
-The diagnostics CSV has a fixed column order (header written once) and the
-same 17-digit formatting; the stop flag serializes as 0/1.
+The diagnostics CSV has the columns of ``diagnostics.DiagRecord``, in its
+field order (header written once), and the same 17-digit formatting; the
+stop flag serializes as 0/1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import DIAG_COLUMNS, DiagRecord
+from .diagnostics import DiagRecord
 from .grid import Field, Grid
 
 SNAPSHOT_MAGIC = "STFE2D"
@@ -81,9 +82,8 @@ def read_snapshot(path) -> tuple[Field, float]:
 # ---------------------------------------------------------------------------
 
 def format_diag_row(rec: DiagRecord) -> str:
-    vals = rec.row()
-    cells = [_fmt(v) for v in vals[:-1]]
-    cells.append(str(int(vals[-1])))
+    cells = [_fmt(v) for v in rec[:-1]]
+    cells.append(str(int(rec.stopped)))
     return ",".join(cells)
 
 
@@ -101,7 +101,7 @@ class DiagWriter:
 
     def append(self, rec: DiagRecord) -> None:
         if not self._header_written:
-            self._fh.write(",".join(DIAG_COLUMNS) + "\n")
+            self._fh.write(",".join(DiagRecord._fields) + "\n")
             self._header_written = True
         self._fh.write(format_diag_row(rec) + "\n")
 

@@ -27,6 +27,7 @@ difference quotient of u itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,9 @@ class PowerPairPotential:
     const: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.coef_high, self.exp_high, self.coef_low,
+                                       self.exp_low, self.const))):
+            raise AssumptionError(f"potential parameters must be finite (got {self})")
         if not (self.exp_high > 2.0):
             raise AssumptionError(
                 f"(P) violated: growth exponent p = {self.exp_high:g} must exceed 2")
@@ -153,8 +157,9 @@ class Material:
             raise AssumptionError(f"regularization exponent eps = {self.eps:g} must lie in (0, 2)")
         if not (self.rho > 0.0):
             raise AssumptionError(f"threshold margin rho = {self.rho:g} must be positive")
-        if self.strat_shift < 0.0:
-            raise AssumptionError(f"strat_shift = {self.strat_shift:g} must be nonnegative")
+        if not (math.isfinite(self.strat_shift) and self.strat_shift >= 0.0):
+            raise AssumptionError(
+                f"strat_shift = {self.strat_shift:g} must be finite and nonnegative")
         if self.p != self.potential.exp_high:
             raise AssumptionError(
                 f"growth exponent p = {self.p:g} must equal the potential's "

@@ -23,6 +23,7 @@ bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +60,12 @@ class PowerLawSchedule:
     s: float = 4.0
 
     def __post_init__(self):
-        if self.lambda0 < 0.0:
-            raise NoiseConfigError(f"lambda0 = {self.lambda0:g} must be nonnegative")
-        if not (self.s > 3.0):
+        if not (math.isfinite(self.lambda0) and self.lambda0 >= 0.0):
+            raise NoiseConfigError(f"lambda0 = {self.lambda0:g} must be finite and nonnegative")
+        if not (math.isfinite(self.s) and self.s > 3.0):
             raise AssumptionError(
-                f"(B3) violated: power-law decay exponent s = {self.s:g} must exceed 3 "
-                "for colored noise with W^(2,inf)-summable modes")
+                f"(B3) violated: power-law decay exponent s = {self.s:g} must be finite "
+                "and exceed 3 for colored noise with W^(2,inf)-summable modes")
 
     def lambda_table(self, r: int) -> np.ndarray:
         """lambda[c, k+r, l+r] of the square |k|, |l| <= r, component c.
@@ -101,8 +102,9 @@ class TableSchedule:
             if np.isscalar(lam):
                 lam = (float(lam), float(lam))
             lx, ly = float(lam[0]), float(lam[1])
-            if lx < 0 or ly < 0:
-                raise NoiseConfigError(f"negative decay coefficient at mode ({k}, {l})")
+            if not all(math.isfinite(v) and v >= 0 for v in (lx, ly)):
+                raise NoiseConfigError(
+                    f"decay coefficient at mode ({k}, {l}) must be finite and nonnegative")
             items.append(((int(k), int(l)), (lx, ly)))
         return cls(tuple(items))
 
@@ -151,8 +153,8 @@ class NoiseModel:
     interpretation: str = "ito"
 
     def __post_init__(self):
-        if self.trunc_C <= 0.0:
-            raise NoiseConfigError(f"trunc_C = {self.trunc_C:g} must be positive")
+        if not (math.isfinite(self.trunc_C) and self.trunc_C > 0.0):
+            raise NoiseConfigError(f"trunc_C = {self.trunc_C:g} must be finite and positive")
         if self.mode_cap < 0:
             raise NoiseConfigError("mode_cap must be nonnegative")
         if not (0 <= self.seed < 2**64):

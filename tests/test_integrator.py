@@ -8,7 +8,7 @@ from stfe2d.integrator import (NoiseWorkspace, OverflowAbort, PositivityAbort,
                                RunConfig, SimState, run, run_replicas, stable_dt, step_em,
                                time_slack)
 from stfe2d.material import Material
-from stfe2d.noise import NoiseModel, PowerLawSchedule, TableSchedule
+from stfe2d.noise import NoiseModel, PowerLawSchedule, TableSchedule, truncation_set
 
 
 def silent_model():
@@ -146,7 +146,7 @@ def test_run_determinism(mat):
     cfg = RunConfig(t_max=50 * stable_dt(grid, mat))
     r1 = run(cosine_film(grid), cfg, mat, model)
     r2 = run(cosine_film(grid), cfg, mat, model)
-    assert [a.row() for a in r1.records] == [b.row() for b in r2.records]
+    assert r1.records == r2.records
     assert np.array_equal(r1.final.u.values, r2.final.u.values)
 
 
@@ -177,7 +177,7 @@ def test_diag_interval_thins_the_records_only(monkeypatch):
     monkeypatch.setattr(diagnostics, "make_record", counting_make_record)
     thin = run(u0, RunConfig(t_max=t_max, e_max_C=e_max_C, diag_interval=7), mat, model)
     steps = [0, 7, 14, 21, 28, 35, 40]
-    assert [r.row() for r in thin.records] == [every.records[s].row() for s in steps]
+    assert thin.records == [every.records[s] for s in steps]
     assert len(built) == len(steps)
     assert (thin.sup_R, thin.sup_osc, thin.diss_integral, thin.max_mass_drift) == \
         (every.sup_R, every.sup_osc, every.diss_integral, every.max_mass_drift)
@@ -288,8 +288,9 @@ def test_diffusion_apply_unit_increment_matches_dense_table(mat, rng):
     model = NoiseModel(TableSchedule.from_dict({(1, 0): (lam, 0.0)}),
                        trunc_C=5.0, mode_cap=1)
     ws = NoiseWorkspace.build(model, grid, mat.eps)
+    modes = truncation_set(model, grid.h, mat.eps)
     # pick dt so that the x increment of mode (1, 0) is exactly one
-    z = standard_normals(ws.keys[0, ws.modes.index((1, 0))], step_counter(0, 0))
+    z = standard_normals(ws.keys[0, modes.index((1, 0))], step_counter(0, 0))
     wx, wy = ws.coefficient_fields(0, 0, dt=1.0 / z**2)
     out = scheme.diffusion_values(u.values, grid, np.sign(z) * wx, wy)
     tx, _ = oracle.dense_Z_table(grid, 1, 0)
@@ -308,13 +309,14 @@ def test_coefficient_fields_match_dense_mode_sum(mat):
     model = NoiseModel(TableSchedule.from_dict(table), trunc_C=5.0, mode_cap=3,
                        seed=8)
     ws = NoiseWorkspace.build(model, grid, mat.eps)
-    assert max(k for k, _ in ws.modes) == 3
+    modes = truncation_set(model, grid.h, mat.eps)
+    assert max(k for k, _ in modes) == 3
     step, attempt, dt = 11, 2, 3e-3
     wx, wy = ws.coefficient_fields(step, attempt, dt)
     ctr = step_counter(step, attempt)
     ref_x = np.zeros((grid.ny, grid.nx))
     ref_y = np.zeros((grid.ny, grid.nx))
-    for m, (k, l) in enumerate(ws.modes):
+    for m, (k, l) in enumerate(modes):
         g = basis_eval(k, l, grid).values
         lx, ly = table.get((k, l), (0.0, 0.0))
         ref_x += lx * np.sqrt(dt) * standard_normals(ws.keys[0, m], ctr) * g
@@ -327,8 +329,9 @@ def test_coefficient_fields_match_dense_mode_sum(mat):
 def test_noise_workspace_memory_is_linear_in_n(mat):
     # a dense (n_modes, ny, nx) basis here would hold 4225 modes, about 2.2 GB
     grid = Grid(256, 256, 1.0, 1.0)
-    ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule(), trunc_C=2.0), grid, mat.eps)
-    assert len(ws.modes) == 4225
+    model = NoiseModel(PowerLawSchedule(), trunc_C=2.0)
+    ws = NoiseWorkspace.build(model, grid, mat.eps)
+    assert len(truncation_set(model, grid.h, mat.eps)) == ws.keys.shape[-1] == 4225
     nbytes = sum(v.nbytes for v in vars(ws).values() if isinstance(v, np.ndarray))
     assert nbytes < 2**20
 
@@ -438,7 +441,7 @@ def test_run_records_match_roll_stencils_bit_for_bit():
             row, drift = reference(v, t, stopped)
         rows.append(row)
 
-    assert [r.row() for r in res.records] == rows
+    assert res.records == rows
     assert np.array_equal(res.final.u.values, v)
     stop = next(i for i, r in enumerate(rows) if r[-1])
     assert stop == k and res.final.stop_time == rows[k][0]

@@ -10,10 +10,12 @@ import pytest
 import stfe2d
 from stfe2d import cli
 from stfe2d import io as sio
-from stfe2d.config import ConfigError, assemble, load_config
+from stfe2d.config import Config, ConfigError, assemble, load_config
 from stfe2d.diagnostics import DiagRecord
 from stfe2d.grid import Field, Grid
-from stfe2d.noise import strat_constant
+from stfe2d.integrator import RunConfig
+from stfe2d.material import Material
+from stfe2d.noise import NoiseModel, PowerLawSchedule, strat_constant
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +144,30 @@ def test_stratonovich_auto_shift_matches_constant(tmp_path):
     assert bundle.material.strat_shift == pytest.approx(expected, rel=1e-14)
 
 
+def test_omitted_keys_take_the_defaults_of_the_objects_built():
+    bundle = assemble(Config())
+    assert bundle.grid == Grid(32, 32, 1.0, 1.0)
+    assert bundle.run == RunConfig(t_max=0.0)
+    assert bundle.noise == NoiseModel(PowerLawSchedule())
+    assert bundle.material == Material()
+
+
+def test_stratonovich_shift_is_not_a_config_key(tmp_path):
+    # the shift is the correction constant of the noise, never set by hand
+    path = write_config(tmp_path, material={"strat": 0.5})
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.violations == ["unknown key material.strat"]
+
+
+def test_section_that_is_not_an_object_is_reported(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": 5, "run": {"t_max": 0.0}}))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.violations == ["section 'grid' must be an object"]
+
+
 def test_unknown_keys_are_rejected(tmp_path):
     path = write_config(tmp_path, run={"tmax": 1.0})
     with pytest.raises(ConfigError) as info:
@@ -200,6 +226,20 @@ def test_cli_rejects_config_integers_that_are_not_integral(tmp_path, capsys, sec
     path = write_config(tmp_path, **{section: {key: value}})
     assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
     assert f"{section}.{key} must be an integer" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("noise", "lambda0", None, "noise.lambda0 float() argument"),
+    ("run", "snapshot_times", 0.5, "run.snapshot_times 'float' object is not iterable"),
+    ("initial", "base", "thick", "could not convert string to float: 'thick'"),
+])
+def test_config_values_of_the_wrong_type_are_violations(tmp_path, section, key, value,
+                                                         message):
+    # a TypeError from a converter, or a bad initial value, is reported like
+    # any other violation rather than escaping as a traceback
+    with pytest.raises(ConfigError) as info:
+        load_config(write_config(tmp_path, **{section: {key: value}}))
+    assert any(message in v for v in info.value.violations)
 
 
 def test_integral_floats_are_accepted_for_integer_keys(tmp_path):

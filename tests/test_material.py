@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from stfe2d.material import (AssumptionError, Material, PositivityError,
                              PowerPairPotential, d2F_mean, mobility_mean)
+from stfe2d.noise import NoiseConfigError, NoiseModel, PowerLawSchedule, TableSchedule
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +190,28 @@ def test_eps_range_and_rho_positivity():
 def test_potential_exponent_gate():
     with pytest.raises(AssumptionError, match=r"\(P\) violated"):
         PowerPairPotential(exp_high=2.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: PowerLawSchedule(lambda0=NAN), NoiseConfigError),
+    (lambda: PowerLawSchedule(lambda0=INF), NoiseConfigError),
+    (lambda: PowerLawSchedule(s=INF), AssumptionError),
+    (lambda: NoiseModel(PowerLawSchedule(), trunc_C=INF), NoiseConfigError),
+    (lambda: NoiseModel(PowerLawSchedule(), trunc_C=NAN), NoiseConfigError),
+    (lambda: TableSchedule.from_dict({(1, 0): NAN}), NoiseConfigError),
+    (lambda: TableSchedule.from_dict({(1, 0): (0.1, INF)}), NoiseConfigError),
+    (lambda: Material(strat_shift=NAN), AssumptionError),
+    (lambda: Material(strat_shift=INF), AssumptionError),
+    (lambda: PowerPairPotential(coef_low=NAN), AssumptionError),
+    (lambda: PowerPairPotential(const=INF), AssumptionError),
+    (lambda: PowerPairPotential(exp_high=INF), AssumptionError),
+])
+def test_non_finite_model_parameters_are_rejected(build, error):
+    # NaN passes a one-sided test such as lambda0 < 0; each model checks
+    # finiteness first, so a Python caller meets the same typed errors as
+    # a config file
+    with pytest.raises(error, match="finite"):
+        build()

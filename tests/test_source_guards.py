@@ -35,3 +35,23 @@ def test_noise_workspace_build_has_no_python_loop():
         [func] = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name]
         found[name] = [n.lineno for n in ast.walk(func) if isinstance(n, loops)]
     assert found == {name: [] for name in checked}
+
+
+def test_config_sections_reach_every_constructor_argument():
+    # each config table holds one key per argument of the object it builds,
+    # so a field added to one of these objects is reachable from a file
+    from dataclasses import fields
+
+    from stfe2d import config
+    from stfe2d.grid import Grid
+    from stfe2d.integrator import RunConfig
+    from stfe2d.material import PowerPairPotential
+    from stfe2d.noise import NoiseModel
+
+    def init_fields(cls):
+        return {f.name for f in fields(cls) if f.init}
+
+    assert config._SECTIONS["run"] == init_fields(RunConfig)
+    assert config._SECTIONS["grid"] == init_fields(Grid)
+    assert config._POTENTIAL_KEYS == init_fields(PowerPairPotential) | {"kind"}
+    assert config._SECTIONS["noise"] >= init_fields(NoiseModel) - {"schedule"}
