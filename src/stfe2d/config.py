@@ -51,6 +51,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _times(value) -> tuple:
+    """A list of times; a string or a number is not one."""
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list (got {value!r})")
+    return tuple(map(float, value))
+
+
 def _dt(value) -> float | None:
     """null or "auto" selects the stability default."""
     return None if value in (None, "auto") else float(value)
@@ -64,7 +71,7 @@ _MATERIAL = {"p": float, "eps": float, "rho": float}
 _SCHEDULE = {"lambda0": float, "s": float}
 _NOISE = {"trunc_C": float, "mode_cap": _integer, "seed": _integer, "interpretation": str}
 _RUN = {"t_max": float, "dt": _dt, "e_max_C": float, "u_floor": float,
-        "max_halvings": _integer, "snapshot_times": lambda ts: tuple(map(float, ts)),
+        "max_halvings": _integer, "snapshot_times": _times,
         "diag_interval": _integer, "alpha": float, "kappa": float}
 
 _SECTIONS = {

@@ -37,6 +37,7 @@ from . import fem
 from .config import Config, assemble
 from .grid import Grid
 from .integrator import SimulationAbort, run, run_replicas
+from .io import format_row
 from .noise import NoiseModel, PowerLawSchedule, b3star_monitor
 
 
@@ -139,8 +140,7 @@ def chunk_size(n_replicas: int, workers: int, n_nodes: int) -> int:
 def write_summary_csv(summary: EnsembleSummary, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(EnsembleSummary.SUMMARY_COLUMNS) + "\n")
-        fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                          for v in summary.summary_row()) + "\n")
+        fh.write(format_row(summary.summary_row()) + "\n")
 
 
 def mc_ensemble(cfg: Config, n_replicas: int, max_workers: int | None = None,

@@ -7,24 +7,24 @@ the halving attempt -- whenever the update would push a node at or below
 the positivity floor.  Clamping is never used: undershoot is a time-step
 artifact, and rejection preserves the conservation and energy structure.
 
-After an accepted step the regularized energy is compared against the
-threshold C * h^(-rho/(2+p)); once reached, the state freezes (pressure,
-drift, diffusion, and fluxes are all zeroed) and only the clock advances.
+Once the regularized energy reaches the threshold C * h^(-rho/(2+p)) the
+state freezes (pressure, drift, diffusion, and fluxes are all zeroed) and
+only the clock advances; ``_freeze`` is that stopping rule, applied to the
+start state and after every step.
 
 ``em_step`` is the one step implementation.  It advances a stack of
 replicas of one configuration (fields of shape (R, ny, nx), one noise seed
-each) with per-replica step sizes, halvings and stops; ``step_em`` is its
-batch-of-one case.  ``_integrate`` is the one stepping loop: it computes
-the base step and the threshold energy once, validates the initial field,
-freezes the replicas whose initial energy reaches the threshold, steps
-until each clock reaches the horizon up to its rounding (``time_slack``),
-and keeps each replica's running monitors (sup R, sup of the oscillation
-ratio before stopping, trapezoidal dissipation integral, worst mass
-drift).  ``run_replicas`` runs it over R seeds; ``run`` runs it
-over one seed (lead shape ()) and adds what a lone trajectory emits: the
-records, the snapshots, and the abort raised.  Each replica's draws are a
-pure function of (seed, component, k, l, step, attempt), so a replica in a
-stack reproduces its lone run bit for bit.  The loop allocates one
+each) with per-replica step sizes, halvings and stops.  ``_integrate`` is
+the one stepping loop: it starts from a ``SimState``, computes the base
+step and the threshold energy once, steps until each clock reaches the
+horizon up to its rounding (``time_slack``), and keeps each replica's
+running monitors (sup R, sup of the oscillation ratio before stopping,
+trapezoidal dissipation integral, worst mass drift).  ``run_replicas``
+runs it over R seeds; ``run`` runs it over one seed (lead shape ()) and
+adds what a lone trajectory emits: the records, the snapshots, and the
+abort raised; ``step_em`` runs it for one step.  Each replica's draws are
+a pure function of (seed, component, k, l, step, attempt), so a replica in
+a stack reproduces its lone run bit for bit.  The loop allocates one
 ``scheme.Buffers`` set per run, and every step writes its noise fields,
 candidate and state terms into it.
 
@@ -217,40 +217,48 @@ class Replicas(NamedTuple):
     ``u`` holds the nodal values, shape (*lead, ny, nx); the clocks ``t``,
     the flags ``stopped`` and the ``stop_time`` (nan while running) have
     shape ``lead``; ``terms`` are the kernel's ``scheme.state_terms(u)`` for
-    the stepping material, never None for a pending replica (live and not
-    stopped).  lead = () is one trajectory.
+    the stepping material.  lead = () is one trajectory.
     """
 
     u: np.ndarray
     t: np.ndarray
     stopped: np.ndarray
     stop_time: np.ndarray
-    terms: scheme.StateTerms | None
+    terms: scheme.StateTerms
+
+
+def _freeze(reps: Replicas, e_max: float) -> Replicas:
+    """The stopping rule: a running replica whose energy reaches ``e_max``
+    freezes at its clock."""
+    freeze = ~reps.stopped & (reps.terms.energy.total >= e_max)
+    if not freeze.any():
+        return reps
+    return reps._replace(stopped=reps.stopped | freeze,
+                         stop_time=np.where(freeze, reps.t, reps.stop_time))
 
 
 def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
-            ws: NoiseWorkspace, grid: Grid, base_dt: float, e_max: float,
+            ws: NoiseWorkspace, grid: Grid, base_dt: float,
             bufs: scheme.Buffers) -> tuple[Replicas, dict]:
     """One Euler-Maruyama step of the ``live`` replicas (a mask of shape
-    lead), all at accepted-step index ``step``, with the run's constants:
-    the base step ``cfg.base_dt(grid, mat)`` and the threshold energy
-    ``e_max``.
+    lead), all at accepted-step index ``step``, with the run's base step
+    ``cfg.base_dt(grid, mat)``.
 
-    A frozen replica only advances its clock by the full step.  The others,
-    which start below the threshold, try the full step and, while the update
-    is not finite and above the floor, halve it and redraw at attempt + 1;
-    an accepted state freezes if its energy reaches the threshold.  Replicas
-    that are not live, and those that abort, keep their state.  Returns the
-    new states and the aborts, {replica index: OverflowAbort | PositivityAbort}.
+    A frozen replica only advances its clock by the full step.  The others
+    try the full step and, while the update is not finite and above the
+    floor, halve it and redraw at attempt + 1.  Replicas that are not live,
+    and those that abort, keep their state.  Returns the new states and the
+    aborts, {replica index: OverflowAbort | PositivityAbort}.
 
     Every field of the step is written into ``bufs``, the run's
     ``scheme.Buffers``: the new state's field stays valid through the next
     step, and its terms until the next evaluation.
     """
     dt_full = np.minimum(base_dt, cfg.t_max - reps.t)
-    dt_full = np.where(dt_full > 0.0, dt_full, base_dt)  # past the horizon: a full step
+    # a replica at the horizon is not live: it draws with a step it does not take
+    dt_full = np.where(dt_full > 0.0, dt_full, base_dt)
 
-    terms, stopped, stop_time = reps.terms, reps.stopped, reps.stop_time
+    terms, stopped = reps.terms, reps.stopped
     pending = live & ~stopped
     t = reps.t
     if stopped.any():  # a frozen live replica advances its clock
@@ -303,33 +311,19 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
 
     if np.asarray(moved).any():
         terms = scheme.state_terms(u_new, mat, grid, bufs)
-        freeze = moved & (terms.energy.total >= e_max)
-        if freeze.any():
-            stopped = stopped | freeze
-            stop_time = np.where(freeze, t, stop_time)
-    return Replicas(u_new, t, stopped, stop_time, terms), aborts
+    return reps._replace(u=u_new, t=t, terms=terms), aborts
 
 
 def step_em(state: SimState, cfg: RunConfig, mat: Material,
             ws: NoiseWorkspace) -> SimState:
     """One Euler-Maruyama step (or a frozen clock advance once stopped): the
-    batch-of-one case of ``em_step``.  A running state whose energy reaches
-    the threshold freezes at ``state.t`` and only advances its clock."""
-    grid, u = state.u.grid, state.u.values
-    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
-    bufs = scheme.Buffers(u.shape)
-    stopped, stop_time, terms = state.stopped, state.stop_time, None
-    if not stopped:
-        terms = scheme.state_terms(u, mat, grid, bufs)
-        if terms.energy.total >= e_max:
-            stopped, stop_time = True, state.t
-    start = Replicas(u, np.float64(state.t), np.bool_(stopped),
-                     np.float64(np.nan if stop_time is None else stop_time), terms)
-    new, aborts = em_step(start, state.step, np.True_, cfg, mat, ws, grid,
-                          cfg.base_dt(grid, mat), e_max, bufs)
-    if aborts:
-        raise aborts[()]
-    return _state_of(new, (), state.step + 1, grid, state.initial_mass)
+    stepping loop of ``run`` for one step, which raises its abort.  A
+    running state whose energy reaches the threshold freezes at ``state.t``;
+    a state at the horizon is returned unchanged."""
+    [result] = _integrate(state, cfg, mat, ws, (), budget=1)
+    if isinstance(result, SimulationAbort):
+        raise result
+    return result.final
 
 
 def _state_of(reps: Replicas, idx: tuple, step, grid: Grid, initial_mass: float) -> SimState:
@@ -352,11 +346,11 @@ class RunResult:
     max_mass_drift: float    # max |mass(t) - mass(0)| / |mass(0)|
 
 
-def _integrate(u0: Field, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
-               lead: tuple, visit: Callable | None = None) -> list:
+def _integrate(start: SimState, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
+               lead: tuple, visit: Callable | None = None, budget: float = math.inf) -> list:
     """The stepping loop: integrate the replicas of ``ws`` (lead = () for one
-    seed, (R,) for R seeds) from u0 to t_max through ``em_step``, with the
-    running monitors of each replica.
+    seed, (R,) for R seeds) from ``start`` to t_max through ``em_step``, at
+    most ``budget`` steps, with the running monitors of each replica.
 
     ``visit(reps, step, live, aborts, reached, state)`` sees the initial
     states and the states after each step: ``live`` masks the replicas that
@@ -367,16 +361,16 @@ def _integrate(u0: Field, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
     RunResult without records or snapshots, or the SimulationAbort that
     ended it.
     """
-    grid = u0.grid
-    mass0 = SimState.initial(u0).initial_mass
-    u = np.tile(u0.values, (*lead, 1, 1))
+    grid, mass0 = start.u.grid, start.initial_mass
+    u = np.tile(start.u.values, (*lead, 1, 1))
     base_dt = cfg.base_dt(grid, mat)
     e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
     bufs = scheme.Buffers(u.shape)
-    terms = scheme.state_terms(u, mat, grid, bufs)
-    stopped = np.asarray(terms.energy.total >= e_max)
-    reps = Replicas(u, np.zeros(lead), stopped, np.where(stopped, 0.0, np.nan), terms)
-    step, steps = 0, np.zeros(lead, dtype=int)
+    reps = _freeze(Replicas(u, np.full(lead, start.t), np.full(lead, start.stopped),
+                            np.full(lead, np.nan if start.stop_time is None else start.stop_time),
+                            scheme.state_terms(u, mat, grid, bufs)), e_max)
+    terms, stopped = reps.terms, reps.stopped
+    step, steps, last = start.step, np.full(lead, start.step), start.step + budget
 
     def reached(target):
         return reps.t >= target - time_slack(steps, reps.t, base_dt)
@@ -393,9 +387,10 @@ def _integrate(u0: Field, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
     live = np.array(~reached(cfg.t_max))  # a mask that takes item assignment, also for lead ()
     if visit is not None:
         visit(reps, step, live, {}, reached, state)
-    while live.any():
+    while live.any() and step < last:
         prev_t = reps.t
-        reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, e_max, bufs)
+        reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, bufs)
+        reps = _freeze(reps, e_max)
         aborts.update(new_aborts)
         for idx in new_aborts:
             live[idx] = False
@@ -467,7 +462,7 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
             if snapshot_cb is not None:
                 snapshot_cb(s)
 
-    [result] = _integrate(u0, cfg, mat, ws, (), emit)
+    [result] = _integrate(SimState.initial(u0), cfg, mat, ws, (), emit)
     return replace(result, records=records, snapshots=snapshots)
 
 
@@ -481,4 +476,4 @@ def run_replicas(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
     raises.  Replicas that reach the horizon or abort drop out of the step.
     """
     ws = NoiseWorkspace.build(model, u0.grid, mat.eps, seeds)
-    return _integrate(u0, cfg, mat, ws, (len(seeds),))
+    return _integrate(SimState.initial(u0), cfg, mat, ws, (len(seeds),))

@@ -31,7 +31,13 @@ class SnapshotError(ValueError):
 
 
 def _fmt(x: float) -> str:
+    """17 significant digits: an int prints as ``str`` does, a bool as 0/1."""
     return f"{float(x):.17g}"
+
+
+def format_row(values) -> str:
+    """One CSV row of numbers, each through ``_fmt``."""
+    return ",".join(map(_fmt, values))
 
 
 def write_snapshot(path, field: Field, t: float) -> None:
@@ -81,33 +87,21 @@ def read_snapshot(path) -> tuple[Field, float]:
 # diagnostics CSV
 # ---------------------------------------------------------------------------
 
-def format_diag_row(rec: DiagRecord) -> str:
-    cells = [_fmt(v) for v in rec[:-1]]
-    cells.append(str(int(rec.stopped)))
-    return ",".join(cells)
-
-
 class DiagWriter:
-    """Append-only CSV sink; writes the header before the first row."""
+    """Append-only CSV file; writes the header before the first row."""
 
-    def __init__(self, target):
-        if isinstance(target, (str, Path)):
-            self._fh = open(target, "w", encoding="ascii", newline="\n")
-            self._owns = True
-        else:
-            self._fh = target
-            self._owns = False
+    def __init__(self, path):
+        self._fh = open(path, "w", encoding="ascii", newline="\n")
         self._header_written = False
 
     def append(self, rec: DiagRecord) -> None:
         if not self._header_written:
             self._fh.write(",".join(DiagRecord._fields) + "\n")
             self._header_written = True
-        self._fh.write(format_diag_row(rec) + "\n")
+        self._fh.write(format_row(rec) + "\n")
 
     def close(self) -> None:
-        if self._owns:
-            self._fh.close()
+        self._fh.close()
 
     def __enter__(self):
         return self

@@ -95,17 +95,19 @@ class TableSchedule:
 
     table: tuple  # tuple of ((k, l), (lx, ly)) pairs, hashable form
 
+    def __post_init__(self):
+        for (k, l), lam in self.table:
+            if not all(math.isfinite(v) and v >= 0 for v in lam):
+                raise NoiseConfigError(
+                    f"decay coefficient at mode ({k}, {l}) must be finite and nonnegative")
+
     @classmethod
     def from_dict(cls, d: dict) -> "TableSchedule":
         items = []
         for (k, l), lam in sorted(d.items()):
             if np.isscalar(lam):
-                lam = (float(lam), float(lam))
-            lx, ly = float(lam[0]), float(lam[1])
-            if not all(math.isfinite(v) and v >= 0 for v in (lx, ly)):
-                raise NoiseConfigError(
-                    f"decay coefficient at mode ({k}, {l}) must be finite and nonnegative")
-            items.append(((int(k), int(l)), (lx, ly)))
+                lam = (lam, lam)
+            items.append(((int(k), int(l)), (float(lam[0]), float(lam[1]))))
         return cls(tuple(items))
 
     def _dict(self):

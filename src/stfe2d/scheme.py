@@ -9,9 +9,9 @@ relations collapse to pointwise formulas:
 where d+/d- are forward/backward difference quotients and M_x, M_y are
 the entropy-consistent mobility means on edges.  The drift is a divergence
 of edge fluxes, so its nodal sum telescopes to zero: mass is conserved
-exactly.  The freeze at the energy threshold (the paper's chi = 0) lives in
-``integrator.em_step``, which stops stepping a frozen state, so these
-functions evaluate the running dynamics only.
+exactly.  The freeze at the energy threshold (the paper's chi = 0) is
+``integrator._freeze``, and ``integrator.em_step`` stops stepping a frozen
+state, so these functions evaluate the running dynamics only.
 
 The noise operator applies, for a coefficient field w in the FE space,
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,48 @@ def test_diag_interval_thins_the_records_only(monkeypatch):
     assert (thin.sup_R, thin.sup_osc, thin.diss_integral, thin.max_mass_drift) == \
         (every.sup_R, every.sup_osc, every.diss_integral, every.max_mass_drift)
     assert np.array_equal(thin.final.u.values, every.final.u.values)
+
+
+def test_step_em_chain_is_the_run_loop_step_by_step():
+    # step_em is the run loop for one step: chained from the initial state
+    # it passes through run's states, including the freeze at the step
+    # whose energy first reaches the threshold mid-run
+    grid = Grid(24, 16, 1.5, 0.8)
+    mat = Material(strat_shift=0.3)
+    model = NoiseModel(PowerLawSchedule(lambda0=1.0), seed=19)
+    u0 = cosine_film(grid, amp=0.05)
+    t_max = 40 * stable_dt(grid, mat)
+    free = run(u0, RunConfig(t_max=t_max, e_max_C=1e6), mat, model)
+    energies = [r.E_total for r in free.records]
+    k = next(k for k in range(10, 36) if energies[k] > max(energies[:k]))
+    e_max_C = 0.5 * (max(energies[:k]) + energies[k]) / grid.h ** (-mat.rho / (2.0 + mat.p))
+    cfg = RunConfig(t_max=t_max, e_max_C=e_max_C)
+    ws = NoiseWorkspace.build(model, grid, mat.eps)
+    chain = [SimState.initial(u0)]
+    for _ in range(40):
+        chain.append(step_em(chain[-1], cfg, mat, ws))
+    # a snapshot between two chained clocks is taken after the later step
+    mids = [0.5 * (a.t + b.t) for a, b in zip(chain, chain[1:])]
+    seen = []
+    res = run(u0, replace(cfg, snapshot_times=tuple(mids)), mat, model, snapshot_cb=seen.append)
+    assert [s.step for s in seen] == list(range(1, 41))
+    for got, want in zip(seen + [res.final], chain[1:] + [chain[-1]]):
+        assert np.array_equal(got.u.values, want.u.values)
+        assert (got.t, got.step, got.stopped, got.stop_time) == \
+            (want.t, want.step, want.stopped, want.stop_time)
+    assert [s.stopped for s in chain].index(True) == k
+    assert chain[-1].stop_time == chain[k].t and chain[-1].t == res.final.t
+
+
+def test_step_em_returns_a_state_at_the_horizon_unchanged(mat):
+    grid = Grid(8, 8, 1.0, 1.0)
+    model = NoiseModel(PowerLawSchedule(lambda0=0.1), seed=2)
+    cfg = RunConfig(t_max=5 * stable_dt(grid, mat))
+    final = run(cosine_film(grid), cfg, mat, model).final
+    new = step_em(final, cfg, mat, NoiseWorkspace.build(model, grid, mat.eps))
+    assert np.array_equal(new.u.values, final.u.values)
+    assert (new.t, new.step, new.stopped, new.stop_time, new.initial_mass) == \
+        (final.t, final.step, final.stopped, final.stop_time, final.initial_mass)
 
 
 def test_noise_off_energy_decreases(mat):
@@ -526,17 +570,16 @@ def test_em_step_allocates_no_field_after_warm_up(mat, live):
                               seeds=[8, 9, 10] if lead else None)
     assert ws.active
     base_dt = cfg.base_dt(grid, mat)
-    e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
     u = np.tile(cosine_film(grid).values, (*lead, 1, 1))
     bufs = scheme.Buffers(u.shape)
     reps = Replicas(u, np.zeros(lead), np.zeros(lead, bool), np.full(lead, np.nan),
                     scheme.state_terms(u, mat, grid, bufs))
-    reps, _ = em_step(reps, 0, live, cfg, mat, ws, grid, base_dt, e_max, bufs)
+    reps, _ = em_step(reps, 0, live, cfg, mat, ws, grid, base_dt, bufs)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         for step in range(1, 11):
-            reps, aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, e_max, bufs)
+            reps, aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, bufs)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

@@ -87,9 +87,14 @@ def test_diag_writer_emits_header_once(tmp_path):
 def test_diag_row_round_trip_exact(rng):
     vals = rng.standard_normal(13) * 10.0**rng.integers(-8, 8, 13)
     rec = DiagRecord(*vals, stopped=True)
-    cells = sio.format_diag_row(rec).split(",")
+    cells = sio.format_row(rec).split(",")
     back = DiagRecord(*map(float, cells[:-1]), stopped=bool(int(cells[-1])))
     assert back == rec
+
+
+def test_format_row_prints_ints_and_bools_as_integers():
+    assert sio.format_row((3, 0.1, True, False, -2.5e-300)) == \
+        "3,0.10000000000000001,1,0,-2.5e-300"
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +235,7 @@ def test_cli_rejects_config_integers_that_are_not_integral(tmp_path, capsys, sec
 
 @pytest.mark.parametrize("section, key, value, message", [
     ("noise", "lambda0", None, "noise.lambda0 float() argument"),
-    ("run", "snapshot_times", 0.5, "run.snapshot_times 'float' object is not iterable"),
+    ("run", "snapshot_times", 0.5, "run.snapshot_times must be a list (got 0.5)"),
     ("initial", "base", "thick", "could not convert string to float: 'thick'"),
 ])
 def test_config_values_of_the_wrong_type_are_violations(tmp_path, section, key, value,
@@ -240,6 +245,14 @@ def test_config_values_of_the_wrong_type_are_violations(tmp_path, section, key, 
     with pytest.raises(ConfigError) as info:
         load_config(write_config(tmp_path, **{section: {key: value}}))
     assert any(message in v for v in info.value.violations)
+
+
+@pytest.mark.parametrize("value", ["12", 3.0, {"1.0": 2.0}])
+def test_snapshot_times_must_be_a_list(value):
+    # a string or a mapping would otherwise be iterated into times
+    with pytest.raises(ConfigError) as info:
+        assemble(Config(run={"snapshot_times": value, "t_max": 3.0}))
+    assert info.value.violations == [f"run.snapshot_times must be a list (got {value!r})"]
 
 
 def test_integral_floats_are_accepted_for_integer_keys(tmp_path):

@@ -220,6 +220,15 @@ def test_power_law_decay_gate():
         PowerLawSchedule(lambda0=-0.1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("inf")])
+def test_table_schedule_checks_its_entries_when_constructed(bad):
+    # not only from_dict: a table built directly is checked too
+    with pytest.raises(NoiseConfigError, match=r"mode \(1, 0\)"):
+        TableSchedule((((1, 0), (bad, 0.0)),))
+    with pytest.raises(NoiseConfigError, match=r"mode \(0, 2\)"):
+        NoiseModel(TableSchedule((((1, 0), (0.5, 0.5)), ((0, 2), (0.5, bad)))))
+
+
 def test_b3star_monitor_bounded_under_refinement():
     model = NoiseModel(PowerLawSchedule())
     values = [b3star_monitor(model, 1.0 / n, 1.0) for n in (8, 16, 32, 64, 128)]

@@ -55,3 +55,35 @@ def test_config_sections_reach_every_constructor_argument():
     assert config._SECTIONS["grid"] == init_fields(Grid)
     assert config._POTENTIAL_KEYS == init_fields(PowerPairPotential) | {"kind"}
     assert config._SECTIONS["noise"] >= init_fields(NoiseModel) - {"schedule"}
+
+
+def test_perfbench_traced_names_exist():
+    # the benchmark's tracer rebinds these attributes by name; a name that
+    # is gone from the package fails here instead of in a traced run
+    import importlib
+
+    path = SRC.parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    modules = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    [func] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_targets"]
+    [ret] = [n for n in ast.walk(func) if isinstance(n, ast.Return)]
+
+    def resolve(expr):
+        if isinstance(expr, ast.Name):
+            return importlib.import_module(modules[expr.id])
+        return getattr(resolve(expr.value), expr.attr)
+
+    missing = []
+    for target in ret.value.elts:
+        owner, attr = target.elts[0], target.elts[1].value
+        if attr not in vars(resolve(owner)):
+            missing.append(f"{ast.unparse(owner)}.{attr}")
+    assert len(ret.value.elts) >= 10
+    assert missing == []
