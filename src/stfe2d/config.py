@@ -1,14 +1,13 @@
 """JSON run configuration: parsing, strict validation, and object assembly.
 
-Unknown keys are errors (no silent typos).  A key a section omits takes the
-default of the object it builds (``Grid``, ``PowerPairPotential``,
-``Material``, ``PowerLawSchedule``, ``NoiseModel``, ``RunConfig``), except
-for the configuration's own defaults: a 32x32 unit-square grid, t_max = 0,
-p taken from the potential, and the initial and output sections.  The
-Stratonovich shift is no key: it is the noise's correction constant, or 0
-for Ito noise.  Validation gathers every violation and reports each with
-the name of the assumption it breaks, e.g.
-"(R) violated: 2/p + eps/2 + rho/(2p) = 1.03 >= 1".
+Every key has one converter, in its section's table; an unknown key or a
+value of the wrong JSON type is a violation that names ``section.key``.  An
+omitted key takes the default of the object its section builds, except for
+the configuration's own: a 32x32 unit-square grid, t_max = 0, p from the
+potential, and the initial and output sections.  The Stratonovich shift is
+no key: it is the noise's correction constant, or 0 for Ito noise.  The
+objects built check their own assumptions, and each violation names the one
+it breaks, e.g. "(R) violated: 2/p + eps/2 + rho/(2p) = 1.03 >= 1".
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from . import io as sio
 from .grid import Field, Grid
 from .integrator import RunConfig
 from .material import PROTOTYPE, AssumptionError, Material, PowerPairPotential
-from .noise import NoiseConfigError, NoiseModel, PowerLawSchedule, TableSchedule, strat_constant
+from .noise import NoiseModel, PowerLawSchedule, TableSchedule, strat_constant
 
 
 class ConfigError(ValueError):
@@ -44,84 +43,120 @@ class Config:
     output: dict = field(default_factory=dict)
 
 
+def _number(value) -> float:
+    """A JSON number; not a boolean, a string, null or a container."""
+    if isinstance(value, (int, float)) and type(value) is not bool:
+        return float(value)
+    raise ValueError(f"must be a number (got {value!r})")
+
+
 def _integer(value) -> int:
     """An integral number such as 16 or 16.0; not a fraction, a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ValueError(f"must be an integer (got {value!r})")
-    return int(value)
+    if isinstance(value, (int, float)) and type(value) is not bool and not value % 1:
+        return int(value)
+    raise ValueError(f"must be an integer (got {value!r})")
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a string (got {value!r})")
+    return value
+
+
+def _path(value) -> str:
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"must be a non-empty string (got {value!r})")
+    return value
+
+
+def _choice(*names):
+    def convert(value):
+        if value not in names:
+            raise ValueError(f"must be one of {', '.join(map(repr, names))} (got {value!r})")
+        return value
+    return convert
 
 
 def _times(value) -> tuple:
-    """A list of times; a string or a number is not one."""
     if not isinstance(value, list):
         raise ValueError(f"must be a list (got {value!r})")
-    return tuple(map(float, value))
+    return tuple(map(_number, value))
 
 
 def _dt(value) -> float | None:
-    """null or "auto" selects the stability default."""
-    return None if value in (None, "auto") else float(value)
+    return None if value in (None, "auto") else _number(value)
 
 
-# Each table maps a key, named after the constructor argument it fills, to
-# its converter; a key the section omits takes that object's default.
-_GRID = {"nx": _integer, "ny": _integer, "Lx": float, "Ly": float}
-_POTENTIAL = dict.fromkeys(("coef_high", "exp_high", "coef_low", "exp_low", "const"), float)
-_MATERIAL = {"p": float, "eps": float, "rho": float}
-_SCHEDULE = {"lambda0": float, "s": float}
-_NOISE = {"trunc_C": float, "mode_cap": _integer, "seed": _integer, "interpretation": str}
-_RUN = {"t_max": float, "dt": _dt, "e_max_C": float, "u_floor": float,
+def _table(value) -> dict:
+    """{"k,l": lambda or [lambda_x, lambda_y]} as {(k, l): (lambda_x, lambda_y)}."""
+    if not isinstance(value, dict):
+        raise ValueError(f"must be an object (got {value!r})")
+    table = {}
+    for key, lam in value.items():
+        try:
+            k, l = map(int, str(key).split(","))
+            lx, ly = map(_number, lam if isinstance(lam, list) else [lam] * 2)
+        except ValueError:
+            raise ValueError(f"entry {key!r}: {lam!r} must map \"k,l\" (integers) to a number "
+                             "or a list of two numbers") from None
+        table[(k, l)] = (lx, ly)
+    return table
+
+
+def _potential(value) -> PowerPairPotential:
+    """"prototype" or null, or an object of ``PowerPairPotential`` arguments
+    with the optional kind "power-pair"."""
+    if value in ("prototype", None):
+        return PROTOTYPE
+    kwargs = _section("material.potential", value, _POTENTIAL)
+    return PowerPairPotential(**{k: v for k, v in kwargs.items() if k != "kind"})
+
+
+# Each table maps a key, named after the constructor argument it fills where
+# there is one, to its converter; every key of the configuration is in one.
+_GRID = {"nx": _integer, "ny": _integer, "Lx": _number, "Ly": _number}
+_POTENTIAL = {"kind": _choice("power-pair"),
+              **dict.fromkeys(("coef_high", "exp_high", "coef_low", "exp_low", "const"), _number)}
+_MATERIAL = {"p": _number, "eps": _number, "rho": _number, "potential": _potential}
+_SCHEDULE = {"lambda0": _number, "s": _number}
+_NOISE = {"trunc_C": _number, "mode_cap": _integer, "seed": _integer, "interpretation": _string}
+_RUN = {"t_max": _number, "dt": _dt, "e_max_C": _number, "u_floor": _number,
         "max_halvings": _integer, "snapshot_times": _times,
-        "diag_interval": _integer, "alpha": float, "kappa": float}
-
-_SECTIONS = {
-    "grid": {*_GRID},
-    "material": {*_MATERIAL, "potential"},
-    "noise": {*_SCHEDULE, *_NOISE, "schedule", "table"},
-    "run": {*_RUN},
-    "initial": {"kind", "base", "amplitude", "path"},
-    "output": {"dir", "prefix"},
+        "diag_interval": _integer, "alpha": _number, "kappa": _number}
+_TABLES = {
+    "grid": _GRID,
+    "material": _MATERIAL,
+    "noise": {**_SCHEDULE, **_NOISE, "schedule": _choice("power-law", "table"), "table": _table},
+    "run": _RUN,
+    "initial": {"kind": _choice("constant", "cosine-perturbed", "file"),
+                "base": _number, "amplitude": _number, "path": _path},
+    "output": {"dir": _path, "prefix": _string},
 }
-_POTENTIAL_KEYS = {*_POTENTIAL, "kind"}
+_SECTIONS = {name: table.keys() for name, table in _TABLES.items()}
+_POTENTIAL_KEYS = _POTENTIAL.keys()
 
 
-def _fields(name: str, section: dict, table: dict) -> dict:
-    """The constructor arguments that ``section`` gives, through ``table``'s
-    converters; a converter's error names the key as ``name.key``."""
-    kwargs = {}
-    for key, convert in table.items():
-        if key in section:
-            try:
-                kwargs[key] = convert(section[key])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{name}.{key} {exc}") from None
-    return kwargs
-
-
-def _check_unknown(data: dict, violations: list):
-    for section, content in data.items():
-        if section not in _SECTIONS:
-            violations.append(f"unknown section {section!r}")
+def _section(name: str, values, table: dict) -> dict:
+    """``values`` through ``table``'s converters; a ConfigError names each
+    unknown key, and each key whose value is rejected, as ``name.key``."""
+    if not isinstance(values, dict):
+        raise ConfigError([f"section {name!r} must be an object"])
+    out, violations = {}, []
+    for key, value in values.items():
+        if key not in table:
+            violations.append(f"unknown key {name}.{key}")
             continue
-        if not isinstance(content, dict):
-            violations.append(f"section {section!r} must be an object")
-            continue
-        for key in content:
-            if key not in _SECTIONS[section]:
-                violations.append(f"unknown key {section}.{key}")
-        pot = content.get("potential")
-        if section == "material" and isinstance(pot, dict):
-            for key in pot:
-                if key not in _POTENTIAL_KEYS:
-                    violations.append(f"unknown key material.potential.{key}")
-
-
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name} is not allowed")
+        try:
+            out[key] = table[key](value)
+        except (ValueError, OverflowError) as exc:
+            violations.extend(getattr(exc, "violations", [f"{name}.{key} {exc}"]))
+    if violations:
+        raise ConfigError(violations)
+    return out
 
 
 def _finite_float(literal: str) -> float:
-    """A JSON number literal that overflows a double (1e999) is rejected."""
+    """NaN, Infinity and a literal that overflows a double (1e999) are rejected."""
     value = float(literal)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {literal} is not allowed")
@@ -138,16 +173,15 @@ def _bounded_int(literal: str) -> int:
 
 def load_config(path) -> Config:
     try:
-        data = json.loads(Path(path).read_text(), parse_constant=_reject_constant,
+        data = json.loads(Path(path).read_text(), parse_constant=_finite_float,
                           parse_float=_finite_float, parse_int=_bounded_int)
     except (OSError, ValueError) as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["top-level configuration must be an object"])
-    violations: list[str] = []
-    _check_unknown(data, violations)
-    cfg = Config(**{k: data[k] for k in _SECTIONS if isinstance(data.get(k), dict)})
-    # assembly performs the semantic validation
+    violations = [f"unknown section {name!r}" for name in data if name not in _SECTIONS]
+    cfg = Config(**{name: data[name] for name in _SECTIONS if name in data})
+    # assembly performs the conversion and the semantic validation
     try:
         assemble(cfg)
     except ConfigError as exc:
@@ -170,120 +204,86 @@ class Bundle:
     prefix: str
 
 
-def _build_noise(nz: dict, violations: list) -> NoiseModel | None:
-    kind = nz.get("schedule", "power-law")
-    try:
-        if kind == "power-law":
-            sched = PowerLawSchedule(**_fields("noise", nz, _SCHEDULE))
-        elif kind == "table":
-            table = {}
-            for key, lam in dict(nz.get("table", {})).items():
-                k_str, l_str = str(key).split(",")
-                table[(int(k_str), int(l_str))] = lam
-            sched = TableSchedule.from_dict(table)
-        else:
-            violations.append(f"unknown noise schedule {kind!r}")
-            return None
-        return NoiseModel(sched, **_fields("noise", nz, _NOISE))
-    except (AssumptionError, NoiseConfigError, ValueError) as exc:
-        violations.append(str(exc))
-        return None
+def _build_grid(values: dict) -> Grid:
+    grid = Grid(**{"nx": 32, "ny": 32, "Lx": 1.0, "Ly": 1.0, **values})
+    if not (grid.h < 1.0):
+        raise AssumptionError(f"(S) violated: mesh parameter h = {grid.h:g} must be below 1 "
+                              "(express lengths in units with sub-unit cells)")
+    return grid
 
 
-def _build_material(mt: dict, model: NoiseModel | None, grid: Grid | None,
-                    violations: list) -> Material | None:
+def _build_noise(values: dict) -> NoiseModel:
+    if values.get("schedule") == "table":
+        sched = TableSchedule.from_dict(values.get("table", {}))
+    else:
+        sched = PowerLawSchedule(**{k: v for k, v in values.items() if k in _SCHEDULE})
+    return NoiseModel(sched, **{k: v for k, v in values.items() if k in _NOISE})
+
+
+def _build_material(values: dict, model: NoiseModel | None, grid: Grid | None) -> Material:
     """The material; p defaults to the potential's leading exponent, and the
     shift is the Stratonovich correction constant, or 0 for Ito noise."""
-    pot_cfg = mt.get("potential", "prototype")
-    try:
-        if pot_cfg == "prototype" or pot_cfg is None:
-            pot = PROTOTYPE
-        elif isinstance(pot_cfg, dict):
-            kind = pot_cfg.get("kind", "power-pair")
-            if kind != "power-pair":
-                raise AssumptionError(f"unknown potential kind {kind!r}")
-            pot = PowerPairPotential(**_fields("material.potential", pot_cfg, _POTENTIAL))
-        else:
-            raise AssumptionError(f"unknown potential entry {pot_cfg!r}")
-
-        shift = 0.0
-        if model is not None and model.interpretation == "stratonovich":
-            if grid is None:
-                raise AssumptionError("Stratonovich shift needs the domain size")
-            shift = strat_constant(model, grid.Lx, grid.Ly)
-        return Material(**{"p": pot.exp_high, **_fields("material", mt, _MATERIAL)},
-                        strat_shift=shift, potential=pot)
-    except (AssumptionError, NoiseConfigError, ValueError) as exc:
-        violations.append(str(exc))
-        return None
+    shift = 0.0
+    if model is not None and model.interpretation == "stratonovich":
+        if grid is None:
+            raise AssumptionError("Stratonovich shift needs the domain size")
+        shift = strat_constant(model, grid.Lx, grid.Ly)
+    p = values.get("potential", PROTOTYPE).exp_high
+    return Material(**{"p": p, **values}, strat_shift=shift)
 
 
-def _build_initial(init: dict, grid: Grid | None, violations: list) -> Field | None:
+def _build_initial(values: dict, grid: Grid | None) -> Field | None:
     if grid is None:
         return None
-    kind = init.get("kind", "constant")
-    try:
-        base = float(init.get("base", 1.0))
-        amp = float(init.get("amplitude", 0.0))
-        if kind == "constant":
-            u0 = Field.constant(grid, base)
-        elif kind == "cosine-perturbed":
-            def f(x, y):
-                return base + amp * np.cos(2 * np.pi * x / grid.Lx) * np.cos(2 * np.pi * y / grid.Ly)
-            u0 = Field.from_function(grid, f)
-        elif kind == "file":
-            path = init.get("path")
-            if not path:
-                raise ValueError("initial.kind = 'file' needs initial.path")
-            u0, _ = sio.read_snapshot(path)
-            if u0.grid != grid:
-                raise ValueError(
-                    f"initial file grid {u0.grid.nx}x{u0.grid.ny} on "
-                    f"({u0.grid.Lx:g}, {u0.grid.Ly:g}) does not match the "
-                    f"configured grid {grid.nx}x{grid.ny} on ({grid.Lx:g}, {grid.Ly:g})")
-        else:
-            raise ValueError(f"unknown initial kind {kind!r}")
-        if np.any(u0.values <= 0.0):
-            raise ValueError("(I) violated: initial data must be strictly positive")
-        return u0
-    except (ValueError, OSError, sio.SnapshotError) as exc:
-        violations.append(str(exc))
-        return None
+    kind, base = values.get("kind", "constant"), values.get("base", 1.0)
+    amp = values.get("amplitude", 0.0)
+    if kind == "constant":
+        u0 = Field.constant(grid, base)
+    elif kind == "cosine-perturbed":
+        def f(x, y):
+            return base + amp * np.cos(2 * np.pi * x / grid.Lx) * np.cos(2 * np.pi * y / grid.Ly)
+        u0 = Field.from_function(grid, f)
+    else:
+        if "path" not in values:
+            raise ValueError("initial.kind = 'file' needs initial.path")
+        try:
+            u0, _ = sio.read_snapshot(values["path"])
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"initial.path {exc}") from None
+        if u0.grid != grid:
+            raise ValueError(f"initial.path grid {u0.grid.nx}x{u0.grid.ny} on ({u0.grid.Lx:g}, "
+                             f"{u0.grid.Ly:g}) does not match the configured grid "
+                             f"{grid.nx}x{grid.ny} on ({grid.Lx:g}, {grid.Ly:g})")
+    if not (u0.values.min() > 0.0 and u0.values.max() < np.inf):  # NaN fails both
+        source = "initial.path" if kind == "file" else "initial.base and initial.amplitude"
+        raise ValueError(f"(I) violated: the initial data of {source} must be finite and "
+                         "strictly positive")
+    return u0
 
 
 def assemble(cfg: Config) -> Bundle:
     violations: list[str] = []
 
-    grid = None
-    try:
-        grid = Grid(**{"nx": 32, "ny": 32, "Lx": 1.0, "Ly": 1.0,
-                       **_fields("grid", cfg.grid, _GRID)})
-        if not (grid.h < 1.0):
-            violations.append(
-                f"(S) violated: mesh parameter h = {grid.h:g} must be below 1 "
-                "(express lengths in units with sub-unit cells)")
-    except ValueError as exc:
-        violations.append(str(exc))
+    def build(make, *args):
+        """``make(*args)``, or None if it fails or a section did not convert."""
+        if args[0] is None:
+            return None
+        try:
+            return make(*args)
+        except ValueError as exc:
+            violations.extend(getattr(exc, "violations", [str(exc)]))
+            return None
 
-    model = _build_noise(cfg.noise, violations)
-    mat = _build_material(cfg.material, model, grid, violations)
-    initial = _build_initial(cfg.initial, grid, violations)
-
-    run_cfg = None
-    try:
-        run_cfg = RunConfig(**{"t_max": 0.0, **_fields("run", cfg.run, _RUN)})
-    except ValueError as exc:
-        violations.append(str(exc))
-
+    sec = {name: build(_section, name, getattr(cfg, name), table)
+           for name, table in _TABLES.items()}
+    grid = build(_build_grid, sec["grid"])
+    model = build(_build_noise, sec["noise"])
+    mat = build(_build_material, sec["material"], model, grid)
+    initial = build(_build_initial, sec["initial"], grid)
+    run_cfg = build(lambda values: RunConfig(**{"t_max": 0.0, **values}), sec["run"])
     if violations:
         raise ConfigError(violations)
 
-    return Bundle(
-        grid=grid,
-        material=mat,
-        noise=model,
-        run=run_cfg,
-        initial=initial,
-        out_dir=Path(cfg.output.get("dir", "out")),
-        prefix=str(cfg.output.get("prefix", "stfe2d")),
-    )
+    out = sec["output"]
+    return Bundle(grid=grid, material=mat, noise=model, run=run_cfg, initial=initial,
+                  out_dir=Path(out.get("dir", "out")), prefix=out.get("prefix", "stfe2d"))

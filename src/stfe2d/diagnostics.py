@@ -9,7 +9,7 @@ import numpy as np
 
 from . import fem, scheme
 from .grid import Field, Grid
-from .material import Material
+from .material import Material, require_positive
 from .scheme import EnergyParts
 
 
@@ -38,7 +38,7 @@ def threshold_energy(grid: Grid, mat: Material, e_max_C: float) -> float:
 def oscillation_ratio(u: Field) -> float:
     """Max of u(center)/u(neighbor) over all 3x3 periodic neighborhoods."""
     v = u.values
-    scheme.check_positive(v)
+    require_positive(v, "oscillation_ratio")
     return scheme.oscillation(v, fem.shift(v, -1, -1), fem.shift(v, 1, -1))
 
 

@@ -275,16 +275,12 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
             break
         if attempt:
             dt_try = dt_try * 0.5
-        # cand = (u + dt * drift) + noise increment, the increment formed first
+        np.multiply(dt_try[..., None, None], terms.drift, out=cand)
+        cand += u
         if ws.active:
-            scheme.diffusion_values(u, grid, *ws.coefficient_fields(step, attempt, dt_try, w_out),
-                                    du_x=terms.du_x, du_y=terms.du_y, out=cand, tmp=(zy, tmp))
-            np.multiply(dt_try[..., None, None], terms.drift, out=base)
-            base += u
-            cand += base
-        else:
-            np.multiply(dt_try[..., None, None], terms.drift, out=cand)
-            cand += u
+            cand += scheme.diffusion_values(
+                u, grid, *ws.coefficient_fields(step, attempt, dt_try, w_out),
+                du_x=terms.du_x, du_y=terms.du_y, out=base, tmp=(zy, tmp))
         finite = np.isfinite(cand).all(axis=(-2, -1))
         if not finite.all():
             for idx in map(tuple, np.argwhere(pending & ~finite)):

@@ -41,11 +41,12 @@ class AssumptionError(ValueError):
     """A structural parameter assumption is violated."""
 
 
-def _require_positive(u, what: str):
+def require_positive(u, what: str):
+    """u as a float array; a PositivityError unless every value is > 0, which
+    NaN is not."""
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u <= 0.0):
-        bad = float(np.min(u))
-        raise PositivityError(f"{what} requires strictly positive values (min = {bad:g})")
+    if not np.all(u > 0.0):
+        raise PositivityError(f"{what} requires strictly positive values (min = {np.min(u):g})")
     return u
 
 
@@ -189,13 +190,13 @@ class Material:
             f += t
 
     def potential_F(self, u):
-        return _evaluated(self.potential_terms, _require_positive(u, "potential_F"))[0]
+        return _evaluated(self.potential_terms, require_positive(u, "potential_F"))[0]
 
     def dF(self, u):
-        return _evaluated(self.potential_terms, _require_positive(u, "dF"))[1]
+        return _evaluated(self.potential_terms, require_positive(u, "dF"))[1]
 
     def d2F(self, u):
-        u = _require_positive(u, "d2F")
+        u = require_positive(u, "d2F")
         out = self.potential.d2f(u)
         if self.strat_shift:
             out = out + self.strat_shift / u**2
@@ -216,17 +217,17 @@ class Material:
 
     @staticmethod
     def entropy_G(u):
-        u = _require_positive(u, "entropy_G")
+        u = require_positive(u, "entropy_G")
         return Material.entropy_density(u, np.empty_like(u), np.empty_like(u))[()]
 
     @staticmethod
     def dG(u):
-        u = _require_positive(u, "dG")
+        u = require_positive(u, "dG")
         return 1.0 - 1.0 / u
 
     @staticmethod
     def d2G(u):
-        u = _require_positive(u, "d2G")
+        u = require_positive(u, "d2G")
         return 1.0 / u**2
 
 
@@ -242,15 +243,15 @@ def mobility_mean(a, b):
 
     Closed form, stable for all positive endpoints including a == b.
     """
-    a = _require_positive(a, "mobility_mean")
-    b = _require_positive(b, "mobility_mean")
+    a = require_positive(a, "mobility_mean")
+    b = require_positive(b, "mobility_mean")
     return a * b
 
 
 def d2F_mean(mat: Material, a, b):
     """Average of F'' over the value interval: divided difference of F'."""
-    a = _require_positive(a, "d2F_mean")
-    b = _require_positive(b, "d2F_mean")
+    a = require_positive(a, "d2F_mean")
+    b = require_positive(b, "d2F_mean")
     a, b = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
     near = np.abs(b - a) <= DEGENERATE_REL * np.maximum(a, b)
     safe_b = np.where(near, a + 1.0, b)  # avoid 0/0 on the lanes replaced below

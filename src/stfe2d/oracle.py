@@ -14,6 +14,7 @@ the library's self-check suite for the ``check`` subcommand.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -116,8 +117,10 @@ def dense_neg_lap(v: np.ndarray, grid: Grid) -> np.ndarray:
     return _fsum_grid(acc, grid) / grid.cell_area
 
 
+@functools.cache
 def dense_lap_matrix(grid: Grid) -> np.ndarray:
-    """Dense matrix of lap_h acting on flattened nodal vectors."""
+    """Dense matrix of lap_h acting on flattened nodal vectors; built once
+    per grid and read-only."""
     _check_size(grid)
     n = grid.n_nodes
     mat = np.empty((n, n))
@@ -125,6 +128,7 @@ def dense_lap_matrix(grid: Grid) -> np.ndarray:
         e = np.zeros(n)
         e[col] = 1.0
         mat[:, col] = -dense_neg_lap(e.reshape(grid.ny, grid.nx), grid).ravel()
+    mat.flags.writeable = False
     return mat
 
 

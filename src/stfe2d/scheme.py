@@ -49,7 +49,7 @@ import numpy as np
 
 from . import fem
 from .grid import Field, Grid
-from .material import Material, PositivityError
+from .material import Material, require_positive
 
 
 def mesh_weight(grid: Grid, eps: float) -> float:
@@ -60,12 +60,6 @@ def mesh_weight(grid: Grid, eps: float) -> float:
             f"mesh parameter h = {h:g} must lie in (0, 1); express lengths in units "
             "where the cell diameter is below one")
     return h**eps
-
-
-def check_positive(u: np.ndarray):
-    if np.any(u <= 0.0):
-        raise PositivityError(
-            f"field must be strictly positive (min = {float(u.min()):g})")
 
 
 class EnergyParts(NamedTuple):
@@ -165,7 +159,7 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid,
     """
     if out is None:
         out = Buffers(u.shape)
-    check_positive(u)  # the one scan: no division by u comes before it
+    require_positive(u, "state_terms")  # the one scan: no division by u comes before it
     drift, du_x, du_y = out.slot
     east, north, lap_u, p, t1, t2, t3 = out.scratch
     # F is summed at once and F' kept for the pressure; the drift slot is

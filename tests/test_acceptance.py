@@ -9,7 +9,8 @@ from conftest import positive_field
 from stfe2d import cli, diagnostics, oracle, scheme
 from stfe2d import io as sio
 from stfe2d.grid import Field, Grid
-from stfe2d.integrator import NoiseWorkspace, RunConfig, SimState, run, stable_dt, step_em
+from stfe2d.integrator import (NoiseWorkspace, RunConfig, SimState, run, run_replicas,
+                               stable_dt, step_em)
 from stfe2d.material import Material
 from stfe2d.noise import (NoiseConfigError, NoiseModel, PowerLawSchedule,
                           TableSchedule, basis_eval, strat_constant)
@@ -194,7 +195,7 @@ def test_criterion_10_noise_law_at_a_node():
     c, lam0, dt = 1.3, 0.5, 1e-6
     model = NoiseModel(TableSchedule.from_dict({(1, 0): lam0}),
                        trunc_C=5.0, mode_cap=2)
-    cfg = RunConfig(t_max=1.0, dt=dt, e_max_C=100.0)
+    cfg = RunConfig(t_max=dt, dt=dt, e_max_C=100.0)
     u0 = Field.constant(grid, c)
     tx, ty = oracle.dense_Z_table(grid, 1, 0)
     zx = (tx @ u0.values.ravel()).reshape(8, 8)
@@ -204,13 +205,13 @@ def test_criterion_10_noise_law_at_a_node():
 
     t0 = time.perf_counter()
     n_rep = 10000
-    incs = np.empty(n_rep)
-    state0 = SimState.initial(u0)
-    for r in range(n_rep):
-        ws = NoiseWorkspace.build(model.with_seed(50000 + r), grid, mat.eps)
-        new = step_em(state0, cfg, mat, ws)
-        incs[r] = new.u.values[node[1], node[0]] - c
+    seeds = [50000 + r for r in range(n_rep)]
+    finals = [res.final.u.values for res in run_replicas(u0, cfg, mat, model, seeds)]
+    incs = np.array([u[node[1], node[0]] for u in finals]) - c
     elapsed = time.perf_counter() - t0
+    for r in (0, 1, n_rep - 1):  # the stack steps each seed as step_em does
+        ws = NoiseWorkspace.build(model.with_seed(seeds[r]), grid, mat.eps)
+        assert np.array_equal(step_em(SimState.initial(u0), cfg, mat, ws).u.values, finals[r])
     sample_var = incs.var(ddof=1)
     se = var_exact * np.sqrt(2.0 / (n_rep - 1))
     dev = abs(sample_var - var_exact)

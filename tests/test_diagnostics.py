@@ -4,6 +4,7 @@ import pytest
 from conftest import positive_field
 from stfe2d import diagnostics, fem, oracle, scheme
 from stfe2d.grid import Field, Grid
+from stfe2d.material import PositivityError
 
 
 
@@ -14,6 +15,13 @@ def test_energy_constant_film(mat):
     assert parts.curvature == 0.0
     assert parts.potential == pytest.approx(grid.Lx * grid.Ly, rel=1e-14)
     assert parts.total == pytest.approx(grid.Lx * grid.Ly, rel=1e-14)
+
+
+def test_energy_rejects_a_nan_node(mat):
+    values = np.ones((8, 8))
+    values[3, 5] = np.nan
+    with pytest.raises(PositivityError):
+        diagnostics.energy_h(Field(Grid(8, 8, 1.0, 1.0), values), mat)
 
 
 def test_energy_parts_against_dense_quadrature(mat, rng):

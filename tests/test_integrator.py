@@ -277,8 +277,7 @@ def test_one_step_noise_law_at_node(mat):
     # restrict to one tracked mode by zeroing the others via the table
     keep = {(1, 0): lam0}
     model = NoiseModel(TableSchedule.from_dict(keep), trunc_C=5.0, mode_cap=2)
-    ws = NoiseWorkspace.build(model, grid, mat.eps)
-    cfg = RunConfig(t_max=1.0, dt=dt, e_max_C=100.0)
+    cfg = RunConfig(t_max=dt, dt=dt, e_max_C=100.0)
     u0 = Field.constant(grid, c)
 
     tx, ty = oracle.dense_Z_table(grid, 1, 0)
@@ -288,11 +287,12 @@ def test_one_step_noise_law_at_node(mat):
     var_exact = dt * lam0**2 * (zx[node[1], node[0]]**2 + zy[node[1], node[0]]**2)
 
     n_rep = 4000
-    incs = np.empty(n_rep)
-    for r in range(n_rep):
-        ws_r = NoiseWorkspace.build(model.with_seed(1000 + r), grid, mat.eps)
-        new = step_em(SimState.initial(u0), cfg, mat, ws_r)
-        incs[r] = new.u.values[node[1], node[0]] - c
+    seeds = [1000 + r for r in range(n_rep)]
+    finals = [res.final.u.values for res in run_replicas(u0, cfg, mat, model, seeds)]
+    incs = np.array([u[node[1], node[0]] for u in finals]) - c
+    for r in (0, 1, n_rep - 1):  # the stack steps each seed as step_em does
+        ws = NoiseWorkspace.build(model.with_seed(seeds[r]), grid, mat.eps)
+        assert np.array_equal(step_em(SimState.initial(u0), cfg, mat, ws).u.values, finals[r])
     sample_var = incs.var(ddof=1)
     se = var_exact * np.sqrt(2.0 / (n_rep - 1))
     assert abs(sample_var - var_exact) <= 4.0 * se

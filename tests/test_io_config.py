@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stfe2d
-from stfe2d import cli
+from stfe2d import cli, config
 from stfe2d import io as sio
 from stfe2d.config import Config, ConfigError, assemble, load_config
 from stfe2d.diagnostics import DiagRecord
@@ -234,14 +238,14 @@ def test_cli_rejects_config_integers_that_are_not_integral(tmp_path, capsys, sec
 
 
 @pytest.mark.parametrize("section, key, value, message", [
-    ("noise", "lambda0", None, "noise.lambda0 float() argument"),
+    ("noise", "lambda0", None, "noise.lambda0 must be a number (got None)"),
     ("run", "snapshot_times", 0.5, "run.snapshot_times must be a list (got 0.5)"),
-    ("initial", "base", "thick", "could not convert string to float: 'thick'"),
+    ("initial", "base", "thick", "initial.base must be a number (got 'thick')"),
 ])
 def test_config_values_of_the_wrong_type_are_violations(tmp_path, section, key, value,
                                                          message):
-    # a TypeError from a converter, or a bad initial value, is reported like
-    # any other violation rather than escaping as a traceback
+    # a value of the wrong type is reported like any other violation, named
+    # by its key, rather than escaping as a traceback
     with pytest.raises(ConfigError) as info:
         load_config(write_config(tmp_path, **{section: {key: value}}))
     assert any(message in v for v in info.value.violations)
@@ -278,6 +282,166 @@ def test_initial_from_file(tmp_path, rng):
     path = write_config(tmp_path, initial={"kind": "file", "path": str(snap)})
     bundle = assemble(load_config(path))
     assert np.array_equal(bundle.initial.values, field.values)
+
+
+def test_assemble_rejects_unknown_keys():
+    # the keys are checked where they are converted, not only by load_config
+    with pytest.raises(ConfigError) as info:
+        assemble(Config(run={"tmax": 1.0}))
+    assert info.value.violations == ["unknown key run.tmax"]
+
+
+def _nan_snapshot(path):
+    values = np.ones((8, 8))
+    values[2, 3] = np.nan
+    sio.write_snapshot(path, Field(Grid(8, 8, 1.0, 1.0), values), t=0.0)
+    return str(path)
+
+
+def _write_snapshots(folder):
+    """Snapshots for the 8x8 unit-square grid: one good, one with a NaN node,
+    one on another grid and one cut short."""
+    sio.write_snapshot(folder / "good.bin", Field.constant(Grid(8, 8, 1.0, 1.0), 1.0), t=0.0)
+    sio.write_snapshot(folder / "coarse.bin", Field.constant(Grid(4, 4, 1.0, 1.0), 1.0), t=0.0)
+    _nan_snapshot(folder / "nan.bin")
+    (folder / "junk.bin").write_bytes(b"STFE2D 1 8 8 1 1 0\n" + bytes(5))
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"noise": {"schedule": "table", "table": [1, 2]}}, "noise.table"),
+    ({"initial": {"kind": "file", "path": 5}}, "initial.path"),
+    ({"output": {"dir": 3}}, "output.dir"),
+    ({"output": {"dir": ""}}, "output.dir"),
+    ({"initial": {"base": None}}, "initial.base"),
+    ({"output": {"prefix": {"a": 1}}}, "output.prefix"),
+    ({"noise": {"schedule": "table", "table": {"1,0": [1, 2, 3]}}}, "noise.table"),
+    ({"noise": {"schedule": "table", "table": {"1,0,2": 0.1}}}, "noise.table"),
+    ({"run": {"dt": True}}, "run.dt"),
+    ({"grid": {"Lx": True}}, "grid.Lx"),
+    ({"run": {"snapshot_times": [0.0, "1"]}}, "run.snapshot_times"),
+    ({"noise": {"interpretation": 1}}, "noise.interpretation"),
+    ({"noise": {"schedule": "white"}}, "noise.schedule"),
+    ({"material": {"potential": 3}}, "material.potential"),
+    ({"material": {"potential": {"kind": "lj"}}}, "material.potential.kind"),
+    ({"material": {"potential": {"exp_low": "2"}}}, "material.potential.exp_low"),
+    ({"initial": {"kind": "file", "path": "missing.bin"}}, "initial.path"),
+    ({"initial": {"kind": "file", "path": "nan.bin"}}, "initial.path"),
+    ({"initial": {"kind": "file", "path": "coarse.bin"}}, "initial.path"),
+    ({"initial": {"kind": "file", "path": "junk.bin"}}, "initial.path"),
+    ({"initial": {"kind": "file", "path": "."}}, "initial.path"),
+    ({"initial": {"kind": "file"}}, "initial.path"),
+    ({"initial": {"kind": "sine"}}, "initial.kind"),
+    ({"noise": {"schedule": "table", "table": {"a,b": 0.1}}}, "noise.table"),
+    ({"noise": {"schedule": "table", "table": {"1,0": "0.1"}}}, "noise.table"),
+])
+def test_bad_values_are_violations_that_name_their_key(tmp_path, monkeypatch, data, key):
+    monkeypatch.chdir(tmp_path)
+    _write_snapshots(tmp_path)
+    path = write_config(tmp_path, **data)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert any(key in v for v in info.value.violations), info.value.violations
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert key in out.getvalue()
+
+
+def test_initial_data_must_be_finite():
+    # rule (I) also rejects NaN and infinity, which "u > 0" alone would not
+    with pytest.raises(ConfigError) as info:
+        assemble(Config(grid={"nx": 8, "ny": 8}, initial={"base": float("inf")}))
+    assert info.value.violations == [
+        "(I) violated: the initial data of initial.base and initial.amplitude must be "
+        "finite and strictly positive"]
+
+
+def test_cli_rejects_a_nan_snapshot_without_a_traceback(tmp_path):
+    snap = _nan_snapshot(tmp_path / "nan.bin")
+    path = write_config(tmp_path, initial={"kind": "file", "path": snap})
+    src = Path(stfe2d.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "stfe2d.cli", "run", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert "initial.path" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
+# Any JSON value at any key: load_config returns or raises a ConfigError, a
+# value of the wrong type is a violation that names its key, and the CLI
+# rejects the file with exit code 1.  Grid sizes and the mode cap stay at
+# most 64, so that no example allocates a large field or mode table.
+_NAMES = st.sampled_from(["power-law", "table", "ito", "stratonovich", "constant",
+                          "cosine-perturbed", "file", "power-pair", "prototype", "auto"])
+_SNAPSHOTS = ["good.bin", "nan.bin", "coarse.bin", "junk.bin", "missing.bin", "."]
+
+
+def _json(numbers):
+    """Numbers, names and lists of numbers as often as any other JSON value."""
+    leaves = st.none() | st.booleans() | numbers | st.text(max_size=6) | _NAMES
+    nested = st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                          max_leaves=6)
+    return numbers | _NAMES | st.lists(numbers, max_size=3) | nested
+
+
+_ANY = _json(st.integers(-2**70, 2**70) | st.floats(allow_nan=False, allow_infinity=False))
+_SMALL = _json(st.integers(-2**70, 64) | st.floats(max_value=64.0, allow_nan=False,
+                                                   allow_infinity=False))
+_KEYS = [(section, key) for section, keys in config._SECTIONS.items() for key in sorted(keys)]
+_KEYS += [("material.potential", key) for key in sorted(config._POTENTIAL_KEYS)]
+_VALUES = {
+    ("grid", "nx"): _SMALL, ("grid", "ny"): _SMALL, ("noise", "mode_cap"): _SMALL,
+    ("noise", "table"): st.dictionaries(
+        st.from_regex(r"\A-?[0-9]{1,3},-?[0-9]{1,3}\Z") | st.text(max_size=6), _ANY,
+        max_size=3) | _ANY,
+    ("initial", "path"): st.sampled_from(_SNAPSHOTS)
+    | st.text(max_size=8).filter(lambda s: "/" not in s) | _ANY,
+    ("material", "potential"): st.dictionaries(
+        st.sampled_from(sorted(config._POTENTIAL_KEYS)) | st.text(max_size=4), _ANY,
+        max_size=3) | _ANY,
+}
+# the schedule and the initial kind that read the key under test
+_CONTEXT = {("noise", "table"): {"noise": {"schedule": "table"}},
+            ("initial", "path"): {"initial": {"kind": "file"}}}
+
+
+@pytest.mark.parametrize("section, key", _KEYS)
+@settings(derandomize=True, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_json_value_at_any_key_is_accepted_or_a_typed_violation(
+        tmp_path, monkeypatch, section, key, data):
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "good.bin").exists():
+        _write_snapshots(tmp_path)
+    value = data.draw(_VALUES.get((section, key), _ANY))
+    cfg = {"grid": {"nx": 8, "ny": 8}, "run": {"t_max": 0.0}, "output": {"dir": "out"}}
+    for name, entries in _CONTEXT.get((section, key), {}).items():
+        cfg.setdefault(name, {}).update(entries)
+    if section == "material.potential":
+        cfg["material"] = {"p": 8.0, "potential": {key: value}}
+    else:
+        cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        violations = exc.violations
+    else:
+        return
+    assert violations and all(isinstance(v, str) for v in violations)
+    if not any(f"{section}.{key}" in v for v in violations):
+        # a violation that does not name the key comes from the object
+        # built, which checks a value of the right type
+        table = config._POTENTIAL if section == "material.potential" else \
+            config._TABLES[section]
+        table[key](value)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert "configuration rejected" in out.getvalue()
 
 
 # ---------------------------------------------------------------------------

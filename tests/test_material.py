@@ -87,6 +87,12 @@ def test_potential_rejects_nonpositive(mat):
         mat.dF(np.array([1.0, -0.5]))
 
 
+def test_potential_rejects_nan(mat):
+    # NaN is not > 0, though it is not <= 0 either
+    with pytest.raises(PositivityError, match="dF requires strictly positive values"):
+        mat.dF(np.array([1.0, np.nan]))
+
+
 def test_growth_bound_scan(mat):
     # F(u) >= 0.5 u^-8 across [1e-2, 1e2], prototype and shifted variant
     us = np.logspace(-2, 2, 2001)

@@ -12,6 +12,14 @@ def test_check_suite_is_green():
         assert res.passed, f"{res.name}: {res.detail}"
 
 
+def test_dense_laplacian_is_built_once_per_grid_and_read_only():
+    lap = oracle.dense_lap_matrix(Grid(4, 3, 1.0, 0.75))
+    assert oracle.dense_lap_matrix(Grid(4, 3, 1.0, 0.75)) is lap
+    assert oracle.dense_lap_matrix(Grid(4, 3, 1.0, 1.0)) is not lap
+    with pytest.raises(ValueError):
+        lap[0, 0] = 1.0
+
+
 def test_dense_size_guard():
     grid = Grid(10, 10, 1.0, 1.0)
     with pytest.raises(oracle.SizeError):
