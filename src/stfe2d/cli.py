@@ -24,8 +24,7 @@ EXIT_CHECK = 3
 
 def _load_bundle(path, out):
     try:
-        cfg = load_config(path)
-        return assemble(cfg)
+        return assemble(load_config(path))
     except ConfigError as exc:
         print("configuration rejected:", file=out)
         for v in exc.violations:

@@ -172,6 +172,8 @@ def _bounded_int(literal: str) -> int:
 
 
 def load_config(path) -> Config:
+    """The sections of the JSON file, unconverted: ``assemble`` validates them.
+    An unknown section is a ConfigError that reports the others' violations too."""
     try:
         data = json.loads(Path(path).read_text(), parse_constant=_finite_float,
                           parse_float=_finite_float, parse_int=_bounded_int)
@@ -181,12 +183,11 @@ def load_config(path) -> Config:
         raise ConfigError(["top-level configuration must be an object"])
     violations = [f"unknown section {name!r}" for name in data if name not in _SECTIONS]
     cfg = Config(**{name: data[name] for name in _SECTIONS if name in data})
-    # assembly performs the conversion and the semantic validation
-    try:
-        assemble(cfg)
-    except ConfigError as exc:
-        violations.extend(exc.violations)
-    if violations:
+    if violations:  # reported together with those of the known sections
+        try:
+            assemble(cfg)
+        except ConfigError as exc:
+            violations.extend(exc.violations)
         raise ConfigError(violations)
     return cfg
 

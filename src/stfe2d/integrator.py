@@ -26,7 +26,9 @@ abort raised; ``step_em`` runs it for one step.  Each replica's draws are
 a pure function of (seed, component, k, l, step, attempt), so a replica in
 a stack reproduces its lone run bit for bit.  The loop allocates one
 ``scheme.Buffers`` set per run, and every step writes its noise fields,
-candidate and state terms into it.
+candidate and state terms into it.  A Stratonovich ``noise.NoiseWorkspace``
+carries its correction constant, and ``_integrate`` raises an AssumptionError
+unless ``mat.strat_shift`` equals it: such a model never runs as Ito noise.
 
 The base step defaults to a tenth of the explicit stability bound of the
 linearized fourth-order terms (mobility part plus h^eps curvature part);
@@ -37,15 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import diagnostics, fem, noise, scheme
+from . import diagnostics, fem, scheme
 from .grid import Field, Grid
-from .material import Material
-from .noise import NoiseModel
+from .material import AssumptionError, Material
+from .noise import ATTEMPT_SLOTS, NoiseModel, NoiseWorkspace
 
 
 class SimulationAbort(RuntimeError):
@@ -106,8 +107,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive")
-        if not (0 <= self.max_halvings < noise.ATTEMPT_SLOTS - 1):
-            raise ValueError(f"max_halvings must lie in [0, {noise.ATTEMPT_SLOTS - 2}]")
+        if not (0 <= self.max_halvings < ATTEMPT_SLOTS - 1):
+            raise ValueError(f"max_halvings must lie in [0, {ATTEMPT_SLOTS - 2}]")
         if self.diag_interval < 1:
             raise ValueError("diag_interval must be >= 1")
         if not all(math.isfinite(t) and t >= 0 for t in self.snapshot_times):
@@ -134,73 +135,6 @@ class SimState:
             raise ValueError("initial field must be strictly positive")
         return cls(u=u0, t=0.0, step=0, stopped=False, stop_time=None,
                    initial_mass=diagnostics.mass(u0))
-
-
-@dataclass(frozen=True)
-class NoiseWorkspace:
-    """Mode set frozen at the run's mesh size, with cached 1D tables and keys.
-
-    The active modes form the full square {|k|, |l| <= r} in the (k outer,
-    l inner) order of ``noise.truncation_set``, and each mode is the product
-    g_k(x) g_l(y).  A component field sum_kl c_kl g_k(x_i) g_l(y_j) is
-    therefore gy^T C^T gx with the (2r+1, 2r+1) coefficient matrix
-    C[k+r, l+r] = c_kl, so only the 1D tables gx[k+r, i] = g_k(x_i) and
-    gy[l+r, j] = g_l(y_j) are stored: O(r n) memory.
-
-    ``keys[..., c, m]`` is the stream key of component c (0 = x, 1 = y) of
-    mode m: shape (2, M) for one seed, (R, 2, M) for a stack of replicas
-    with one seed each, whose fields then carry the replica axis first.
-    ``half`` holds C^T gx of each field between the two products.
-
-    ``build`` works on whole arrays: the mode indices come from
-    ``noise.mode_indices``, one ``noise.mode_keys`` call mixes the keys of
-    both components and every seed, ``lam`` is the schedule's
-    ``lambda_table`` and ``gx``, ``gy`` are ``noise.basis_table`` rows.  Each
-    equals its mode-by-mode value bit for bit.
-    """
-
-    gx: np.ndarray
-    gy: np.ndarray
-    lam: np.ndarray        # (2, M): lambda_x and lambda_y of each mode
-    keys: np.ndarray
-    half: np.ndarray       # (*keys.shape[:-1], 2r+1, nx) scratch
-
-    @classmethod
-    def build(cls, model: NoiseModel, grid: Grid, eps: float,
-              seeds=None) -> "NoiseWorkspace":
-        """Workspace of ``model``, or of one replica of it per entry of
-        ``seeds`` (a sequence of seeds)."""
-        r = noise.truncation_radius(model, grid.h, eps)
-        ks, ls = noise.mode_indices(r)
-        seed = model.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)[:, None, None]
-        keys = noise.mode_keys(seed, np.arange(2)[:, None], ks, ls)
-        return cls(
-            gx=noise.basis_table(r, grid.hx * np.arange(grid.nx), grid.Lx),
-            gy=noise.basis_table(r, grid.hy * np.arange(grid.ny), grid.Ly),
-            lam=model.schedule.lambda_table(r).reshape(2, -1),
-            keys=keys,
-            half=np.empty((*keys.shape[:-1], 2 * r + 1, grid.nx)),
-        )
-
-    @cached_property
-    def active(self) -> bool:
-        return bool(np.any(self.lam > 0))
-
-    def coefficient_fields(self, step: int, attempt: int, dt, out: np.ndarray | None = None):
-        """Accumulated noise fields (w_x, w_y) for one step attempt; for a
-        stack, dt holds each replica's step, shape (R,), and the fields have
-        shape (R, ny, nx).  One draw covers both components and all replicas.
-        The fields are views of ``out``, shape (*lead, 2, ny, nx), when given."""
-        dt = np.asarray(dt)
-        if not (dt > 0.0).all():
-            raise ValueError("dt must be positive")
-        c = noise.standard_normals(self.keys, noise.step_counter(step, attempt))
-        c *= np.sqrt(dt)[..., None, None]
-        c *= self.lam
-        side = len(self.gx)
-        c = c.reshape(*c.shape[:-1], side, side).swapaxes(-1, -2)
-        w = np.matmul(self.gy.T, np.matmul(c, self.gx, out=self.half), out=out)
-        return w[..., 0, :, :], w[..., 1, :, :]
 
 
 def time_slack(step, t, base_dt: float):
@@ -357,6 +291,8 @@ def _integrate(start: SimState, cfg: RunConfig, mat: Material, ws: NoiseWorkspac
     RunResult without records or snapshots, or the SimulationAbort that
     ended it.
     """
+    if ws.strat_shift not in (None, mat.strat_shift):
+        raise AssumptionError(f"Stratonovich noise needs strat_shift = {ws.strat_shift!r}")
     grid, mass0 = start.u.grid, start.initial_mass
     u = np.tile(start.u.values, (*lead, 1, 1))
     base_dt = cfg.base_dt(grid, mat)

@@ -19,12 +19,16 @@ at a per-draw counter, pushed through Box-Muller.  A draw is a pure
 function of its key and counter, so values are independent of evaluation
 order and of the truncation-set size, and re-invocation reproduces them
 bit-exactly.
+
+``NoiseWorkspace`` freezes the keys, lambda table and basis rows at a run's
+mesh size and synthesizes each step's noise fields; the integrator only steps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +62,7 @@ class PowerLawSchedule:
 
     lambda0: float = 0.1
     s: float = 4.0
+    symmetric = True  # a class constant, not a field
 
     def __post_init__(self):
         if not (math.isfinite(self.lambda0) and self.lambda0 >= 0.0):
@@ -84,10 +89,6 @@ class PowerLawSchedule:
         lam = lookup[q]
         return np.stack((lam, lam))
 
-    @property
-    def symmetric(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class TableSchedule:
@@ -110,36 +111,23 @@ class TableSchedule:
             items.append(((int(k), int(l)), (float(lam[0]), float(lam[1]))))
         return cls(tuple(items))
 
-    def _dict(self):
-        cached = getattr(self, "_lookup", None)
-        if cached is None:
-            cached = dict(self.table)
-            object.__setattr__(self, "_lookup", cached)
-        return cached
-
     def lambda_table(self, r: int) -> np.ndarray:
         """lambda[c, k+r, l+r] of the square |k|, |l| <= r, component c;
-        entries outside the square are dropped."""
-        at = np.array([mode for mode, _ in self.table], dtype=np.int64).reshape(-1, 2) + r
-        lam = np.array([lam for _, lam in self.table], dtype=np.float64).reshape(-1, 2)
-        inside = ((at >= 0) & (at <= 2 * r)).all(axis=1)
+        entries outside the square are dropped, whatever the size of their
+        indices."""
         out = np.zeros((2, 2 * r + 1, 2 * r + 1))
-        out[:, at[inside, 0], at[inside, 1]] = lam[inside].T
+        for (k, l), lam in self.table:
+            if abs(k) <= r and abs(l) <= r:
+                out[:, k + r, l + r] = lam
         return out
 
     @property
     def symmetric(self) -> bool:
-        d = self._dict()
-        keys = set(d) | {(-k, l) for k, l in d} | {(k, -l) for k, l in d}
-        for k, l in keys:
-            lx, ly = d.get((k, l), (0.0, 0.0))
-            if lx != ly:
-                return False
-            for kk, ll in ((-k, l), (k, -l)):
-                ox, oy = d.get((kk, ll), (0.0, 0.0))
-                if (ox, oy) != (lx, ly):
-                    return False
-        return True
+        """Every entry is component-equal and equals its (-k, l) and (k, -l)
+        mirrors, an absent mode counting as (0, 0)."""
+        d, zero = dict(self.table), (0.0, 0.0)
+        return all(lx == ly and d.get((-k, l), zero) == d.get((k, -l), zero) == (lx, ly)
+                   for (k, l), (lx, ly) in d.items())
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +187,8 @@ def truncation_set(model: NoiseModel, h: float, eps: float) -> list[tuple[int, i
 # basis
 # ---------------------------------------------------------------------------
 
-def basis_1d(k: int, coords: np.ndarray, L: float) -> np.ndarray:
-    scale = np.sqrt(2.0 / L)
-    if k >= 1:
-        return scale * np.cos(2.0 * np.pi * k * coords / L)
-    if k == 0:
-        return np.full_like(coords, 1.0 / np.sqrt(L))
-    return scale * np.sin(2.0 * np.pi * k * coords / L)
-
-
 def basis_table(r: int, coords: np.ndarray, L: float) -> np.ndarray:
-    """Rows g_k(coords) for k = -r..r, equal to the ``basis_1d`` rows."""
+    """Rows g_k(coords) for k = -r..r; a row does not depend on r."""
     arg = (2.0 * np.pi * np.arange(-r, r + 1))[:, None] * coords / L
     g = np.empty_like(arg)
     np.sin(arg[:r], out=g[:r])
@@ -221,9 +200,9 @@ def basis_table(r: int, coords: np.ndarray, L: float) -> np.ndarray:
 
 def basis_eval(k: int, l: int, grid: Grid) -> Field:
     """Nodal interpolant of the product mode g_k(x) g_l(y)."""
-    x = grid.hx * np.arange(grid.nx)
-    y = grid.hy * np.arange(grid.ny)
-    return Field(grid, np.outer(basis_1d(l, y, grid.Ly), basis_1d(k, x, grid.Lx)))
+    gx = basis_table(abs(k), grid.hx * np.arange(grid.nx), grid.Lx)[k + abs(k)]
+    gy = basis_table(abs(l), grid.hy * np.arange(grid.ny), grid.Ly)[l + abs(l)]
+    return Field(grid, np.outer(gy, gx))
 
 
 # ---------------------------------------------------------------------------
@@ -357,3 +336,79 @@ def b3star_monitor(model: NoiseModel, h: float, eps: float) -> float:
     lx, ly = model.schedule.lambda_table(r).reshape(2, -1)
     ks, ls = (np.abs(a).astype(float) for a in mode_indices(r))
     return float(h**eps * ((lx**2 + ly**2) * (ks**3 + ls**3) ** 2).sum())
+
+
+# ---------------------------------------------------------------------------
+# workspace
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NoiseWorkspace:
+    """Mode set frozen at the run's mesh size, with cached 1D tables and keys.
+
+    The active modes form the full square {|k|, |l| <= r} in the (k outer,
+    l inner) order of ``truncation_set``, and each mode is the product
+    g_k(x) g_l(y).  A component field sum_kl c_kl g_k(x_i) g_l(y_j) is
+    therefore gy^T C^T gx with the (2r+1, 2r+1) coefficient matrix
+    C[k+r, l+r] = c_kl, so only the 1D tables gx[k+r, i] = g_k(x_i) and
+    gy[l+r, j] = g_l(y_j) are stored: O(r n) memory.
+
+    ``keys[..., c, m]`` is the stream key of component c (0 = x, 1 = y) of
+    mode m: shape (2, M) for one seed, (R, 2, M) for a stack of replicas
+    with one seed each, whose fields then carry the replica axis first.
+    ``half`` holds C^T gx of each field between the two products.
+    ``strat_shift`` is the potential shift a Stratonovich model needs, its
+    ``strat_constant``, and None for Ito noise.
+
+    ``build`` works on whole arrays: the mode indices come from
+    ``mode_indices``, one ``mode_keys`` call mixes the keys of both
+    components and every seed, ``lam`` is the schedule's ``lambda_table``
+    and ``gx``, ``gy`` are ``basis_table`` rows.  Each equals its
+    mode-by-mode value bit for bit.
+    """
+
+    gx: np.ndarray
+    gy: np.ndarray
+    lam: np.ndarray        # (2, M): lambda_x and lambda_y of each mode
+    keys: np.ndarray
+    half: np.ndarray       # (*keys.shape[:-1], 2r+1, nx) scratch
+    strat_shift: float | None
+
+    @classmethod
+    def build(cls, model: NoiseModel, grid: Grid, eps: float,
+              seeds=None) -> "NoiseWorkspace":
+        """Workspace of ``model``, or of one replica of it per entry of
+        ``seeds`` (a sequence of seeds)."""
+        r = truncation_radius(model, grid.h, eps)
+        ks, ls = mode_indices(r)
+        seed = model.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)[:, None, None]
+        keys = mode_keys(seed, np.arange(2)[:, None], ks, ls)
+        strat = model.interpretation == "stratonovich"
+        return cls(
+            gx=basis_table(r, grid.hx * np.arange(grid.nx), grid.Lx),
+            gy=basis_table(r, grid.hy * np.arange(grid.ny), grid.Ly),
+            lam=model.schedule.lambda_table(r).reshape(2, -1),
+            keys=keys,
+            half=np.empty((*keys.shape[:-1], 2 * r + 1, grid.nx)),
+            strat_shift=strat_constant(model, grid.Lx, grid.Ly) if strat else None,
+        )
+
+    @cached_property
+    def active(self) -> bool:
+        return bool(np.any(self.lam > 0))
+
+    def coefficient_fields(self, step: int, attempt: int, dt, out: np.ndarray | None = None):
+        """Accumulated noise fields (w_x, w_y) for one step attempt; for a
+        stack, dt holds each replica's step, shape (R,), and the fields have
+        shape (R, ny, nx).  One draw covers both components and all replicas.
+        The fields are views of ``out``, shape (*lead, 2, ny, nx), when given."""
+        dt = np.asarray(dt)
+        if not (dt > 0.0).all():
+            raise ValueError("dt must be positive")
+        c = standard_normals(self.keys, step_counter(step, attempt))
+        c *= np.sqrt(dt)[..., None, None]
+        c *= self.lam
+        side = len(self.gx)
+        c = c.reshape(*c.shape[:-1], side, side).swapaxes(-1, -2)
+        w = np.matmul(self.gy.T, np.matmul(c, self.gx, out=self.half), out=out)
+        return w[..., 0, :, :], w[..., 1, :, :]

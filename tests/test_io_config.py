@@ -55,6 +55,26 @@ def test_bad_snapshot_header_field_is_typed(tmp_path, header):
         sio.read_snapshot(path)
 
 
+_VALID_SNAPSHOT = b"STFE2D 1 4 3 1.5 0.75 0.25\n" + bytes(4 * 3 * 8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=200) | st.builds(
+    # a valid snapshot with bytes spliced in, in the header or the payload
+    lambda at, cut, junk: _VALID_SNAPSHOT[:at] + junk + _VALID_SNAPSHOT[at + cut:],
+    st.integers(0, len(_VALID_SNAPSHOT)), st.integers(0, 8), st.binary(max_size=8)))
+def test_any_bytes_read_as_a_field_or_a_snapshot_error(tmp_path, raw):
+    path = tmp_path / "f.bin"
+    path.write_bytes(raw)
+    try:
+        field, t = sio.read_snapshot(path)
+    except sio.SnapshotError:
+        return
+    assert isinstance(field, Field) and isinstance(t, float)
+    assert field.values.shape == (field.grid.ny, field.grid.nx)
+
+
 def test_truncated_snapshot_reports_byte_counts(tmp_path, rng):
     grid = Grid(4, 4, 1.0, 1.0)
     path = tmp_path / "f.bin"
@@ -133,7 +153,7 @@ def test_margin_violation_is_cited(tmp_path):
     path = write_config(tmp_path, material={"p": 2.1, "eps": 1.9, "rho": 0.01,
                                             "potential": {"exp_high": 2.1, "exp_low": 1.0}})
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        assemble(load_config(path))
     assert any("(R) violated" in v for v in info.value.violations)
 
 
@@ -142,7 +162,7 @@ def test_stratonovich_asymmetric_table_is_rejected(tmp_path):
                                          "table": {"1,0": [1.0, 1.0]},
                                          "interpretation": "stratonovich"})
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        assemble(load_config(path))
     assert any("symmetric" in v for v in info.value.violations)
 
 
@@ -165,7 +185,7 @@ def test_stratonovich_shift_is_not_a_config_key(tmp_path):
     # the shift is the correction constant of the noise, never set by hand
     path = write_config(tmp_path, material={"strat": 0.5})
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        assemble(load_config(path))
     assert info.value.violations == ["unknown key material.strat"]
 
 
@@ -173,15 +193,38 @@ def test_section_that_is_not_an_object_is_reported(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"grid": 5, "run": {"t_max": 0.0}}))
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        assemble(load_config(path))
     assert info.value.violations == ["section 'grid' must be an object"]
 
 
 def test_unknown_keys_are_rejected(tmp_path):
     path = write_config(tmp_path, run={"tmax": 1.0})
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        assemble(load_config(path))
     assert any("unknown key run.tmax" in v for v in info.value.violations)
+
+
+def test_unknown_section_is_reported_with_the_violations_of_the_others(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"gird": {}, "run": {"tmax": 1}}))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert info.value.violations == ["unknown section 'gird'", "unknown key run.tmax"]
+
+
+@pytest.mark.parametrize("interpretation, table", [
+    ("ito", {"99999999999999999999,0": 0.1}),
+    ("stratonovich", {"99999999999999999999,0": 0.1, "-99999999999999999999,0": 0.1}),
+])
+def test_table_modes_beyond_int64_are_dropped_like_any_mode_outside_the_square(
+        tmp_path, interpretation, table):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "grid": {"nx": 8, "ny": 8},
+        "noise": {"schedule": "table", "table": table, "interpretation": interpretation},
+        "run": {"t_max": 1e-12}, "output": {"dir": str(tmp_path / "out")}}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(path)]) == cli.EXIT_OK
 
 
 def test_parse_error_is_reported(tmp_path):
@@ -247,7 +290,7 @@ def test_config_values_of_the_wrong_type_are_violations(tmp_path, section, key, 
     # a value of the wrong type is reported like any other violation, named
     # by its key, rather than escaping as a traceback
     with pytest.raises(ConfigError) as info:
-        load_config(write_config(tmp_path, **{section: {key: value}}))
+        assemble(load_config(write_config(tmp_path, **{section: {key: value}})))
     assert any(message in v for v in info.value.violations)
 
 
@@ -270,7 +313,7 @@ def test_nonpositive_initial_is_rejected(tmp_path):
     path = write_config(tmp_path, initial={"kind": "cosine-perturbed",
                                            "base": 1.0, "amplitude": 1.5})
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        assemble(load_config(path))
     assert any("(I) violated" in v for v in info.value.violations)
 
 
@@ -285,7 +328,7 @@ def test_initial_from_file(tmp_path, rng):
 
 
 def test_assemble_rejects_unknown_keys():
-    # the keys are checked where they are converted, not only by load_config
+    # the keys are checked where they are converted: assemble is the validator
     with pytest.raises(ConfigError) as info:
         assemble(Config(run={"tmax": 1.0}))
     assert info.value.violations == ["unknown key run.tmax"]
@@ -339,7 +382,7 @@ def test_bad_values_are_violations_that_name_their_key(tmp_path, monkeypatch, da
     _write_snapshots(tmp_path)
     path = write_config(tmp_path, **data)
     with pytest.raises(ConfigError) as info:
-        load_config(path)
+        assemble(load_config(path))
     assert any(key in v for v in info.value.violations), info.value.violations
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -368,7 +411,7 @@ def test_cli_rejects_a_nan_snapshot_without_a_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-# Any JSON value at any key: load_config returns or raises a ConfigError, a
+# Any JSON value at any key: assemble(load_config(...)) returns or raises a ConfigError, a
 # value of the wrong type is a violation that names its key, and the CLI
 # rejects the file with exit code 1.  Grid sizes and the mode cap stay at
 # most 64, so that no example allocates a large field or mode table.
@@ -427,7 +470,7 @@ def test_any_json_value_at_any_key_is_accepted_or_a_typed_violation(
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     try:
-        load_config(path)
+        assemble(load_config(path))
     except ConfigError as exc:
         violations = exc.violations
     else:

@@ -3,12 +3,10 @@ import pytest
 
 from stfe2d import fem, noise
 from stfe2d.grid import Grid
-from stfe2d.integrator import NoiseWorkspace
 from stfe2d.material import AssumptionError
-from stfe2d.noise import (NoiseConfigError, NoiseModel, PowerLawSchedule,
-                          TableSchedule, b3star_monitor, basis_1d, basis_eval,
-                          mode_keys, standard_normals, step_counter,
-                          strat_constant, truncation_set)
+from stfe2d.noise import (NoiseConfigError, NoiseModel, NoiseWorkspace, PowerLawSchedule,
+                          TableSchedule, b3star_monitor, basis_eval, basis_table, mode_keys,
+                          standard_normals, step_counter, strat_constant, truncation_set)
 
 
 def _trig_mode_sq(k, x, L):
@@ -47,6 +45,15 @@ def test_basis_lumped_norms_near_one(mode):
     grid = Grid(64, 64, 1.0, 1.0)
     b = basis_eval(*mode, grid)
     assert np.sqrt(fem.inner_h(b.values, b.values, grid)) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_basis_eval_is_the_product_of_table_rows():
+    grid, r = Grid(24, 16, 1.5, 0.8), 5
+    gx = basis_table(r, grid.hx * np.arange(grid.nx), grid.Lx)
+    gy = basis_table(r, grid.hy * np.arange(grid.ny), grid.Ly)
+    for k in range(-r, r + 1):
+        for l in range(-r, r + 1):
+            assert np.array_equal(basis_eval(k, l, grid).values, np.outer(gy[l + r], gx[k + r]))
 
 
 def test_basis_sign_pair_orthogonality():
@@ -160,6 +167,15 @@ def test_mode_streams_uncorrelated():
     assert abs(np.corrcoef(d1, d3)[0, 1]) <= 0.05
 
 
+def _trig_mode(k, x, L):
+    # closed form of the 1D basis factor g_k, one mode at a time
+    if k >= 1:
+        return np.sqrt(2.0 / L) * np.cos(2.0 * np.pi * k * x / L)
+    if k == 0:
+        return np.full_like(x, 1.0 / np.sqrt(L))
+    return np.sqrt(2.0 / L) * np.sin(2.0 * np.pi * k * x / L)
+
+
 def _per_mode_workspace(model, grid, eps, seeds):
     """keys, lam, gx, gy of a workspace, built one mode at a time."""
     modes = truncation_set(model, grid.h, eps)
@@ -175,8 +191,8 @@ def _per_mode_workspace(model, grid, eps, seeds):
     x = grid.hx * np.arange(grid.nx)
     y = grid.hy * np.arange(grid.ny)
     return (keys[0] if seeds is None else keys, np.array(lam).T,
-            np.array([basis_1d(k, x, grid.Lx) for k in range(-r, r + 1)]),
-            np.array([basis_1d(l, y, grid.Ly) for l in range(-r, r + 1)]))
+            np.array([_trig_mode(k, x, grid.Lx) for k in range(-r, r + 1)]),
+            np.array([_trig_mode(l, y, grid.Ly) for l in range(-r, r + 1)]))
 
 
 _ASYMMETRIC_TABLE = TableSchedule.from_dict({
@@ -241,6 +257,47 @@ def test_stratonovich_requires_symmetric_schedule():
         NoiseModel(asym, interpretation="stratonovich")
     sym = TableSchedule.from_dict({(1, 0): 1.0, (-1, 0): 1.0})
     NoiseModel(sym, interpretation="stratonovich")  # accepted
+
+
+def _symmetric_by_scan(table):
+    # every entry and every mirror of one: component-equal and equal to its
+    # (-k, l) and (k, -l) mirrors, an absent mode reading (0, 0)
+    d = dict(table)
+    modes = set(d) | {(-k, l) for k, l in d} | {(k, -l) for k, l in d}
+    at = lambda k, l: d.get((k, l), (0.0, 0.0))
+    return all(at(k, l)[0] == at(k, l)[1] and at(-k, l) == at(k, l) == at(k, -l)
+               for k, l in modes)
+
+
+def test_table_symmetry_equals_a_scan_of_every_mirror():
+    rng = np.random.default_rng(17)
+    seen = []
+    for _ in range(3000):
+        # a sign-symmetric table, then up to two entries set, dropped or split
+        table = {}
+        for k, l in rng.integers(0, 3, (rng.integers(0, 4), 2)).tolist():
+            lam = float(rng.choice([0.0, 0.5, 1.0]))
+            table.update({(sk * k, sl * l): (lam, lam) for sk in (1, -1) for sl in (1, -1)})
+        for k, l in rng.integers(-2, 3, (rng.integers(0, 3), 2)).tolist():
+            lx, ly = rng.choice([0.0, 0.5, 1.0], 2).tolist()
+            if rng.random() < 0.3:
+                table.pop((k, l), None)
+            else:
+                table[(k, l)] = (lx, lx if rng.random() < 0.5 else ly)
+        sched = TableSchedule.from_dict(table)
+        seen.append(sched.symmetric)
+        assert sched.symmetric == _symmetric_by_scan(sched.table), table
+    assert 0.2 < np.mean(seen) < 0.8
+
+
+def test_table_entries_outside_the_square_are_dropped():
+    big = 10**20  # beyond int64
+    sched = TableSchedule.from_dict({(big, 0): 0.1, (-big, 0): 0.1, (1, -1): (0.2, 0.3)})
+    lam = sched.lambda_table(1)
+    assert lam.shape == (2, 3, 3)
+    assert lam[:, 2, 0].tolist() == [0.2, 0.3] and lam.sum() == 0.5
+    assert sched.symmetric is False
+    assert TableSchedule.from_dict({(big, 0): 0.1, (-big, 0): 0.1}).symmetric
 
 
 # ---------------------------------------------------------------------------

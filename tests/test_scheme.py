@@ -4,9 +4,8 @@ import pytest
 from conftest import positive_field, roll_reference_terms
 from stfe2d import diagnostics, fem, oracle, scheme
 from stfe2d.grid import Field, Grid
-from stfe2d.integrator import NoiseWorkspace
 from stfe2d.material import Material, PositivityError, d2F_mean, mobility_mean
-from stfe2d.noise import NoiseModel, PowerLawSchedule, basis_eval
+from stfe2d.noise import NoiseModel, NoiseWorkspace, PowerLawSchedule, basis_eval
 
 
 def near_unity_field(rng, grid, amp=0.05):

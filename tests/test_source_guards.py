@@ -27,7 +27,7 @@ def test_noise_workspace_build_has_no_python_loop():
     # the workspace is built from whole arrays; a loop or comprehension over
     # the modes or the seeds would cost milliseconds per run at n = 128
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-    checked = {"build": "integrator.py", "mode_indices": "noise.py",
+    checked = {"build": "noise.py", "mode_indices": "noise.py",
                "mode_keys": "noise.py", "basis_table": "noise.py"}
     found = {}
     for name, file in checked.items():
