@@ -5,9 +5,10 @@ value of the wrong JSON type is a violation that names ``section.key``.  An
 omitted key takes the default of the object its section builds, except for
 the configuration's own: a 32x32 unit-square grid, t_max = 0, p from the
 potential, and the initial and output sections.  The Stratonovich shift is
-no key: it is the noise's correction constant, or 0 for Ito noise.  The
-objects built check their own assumptions, and each violation names the one
-it breaks, e.g. "(R) violated: 2/p + eps/2 + rho/(2p) = 1.03 >= 1".
+no key: ``noise.interpretation`` sets it to the noise's correction constant
+here, and below this module every run is Ito.  The objects built check their
+own assumptions, and each violation names the one it breaks, e.g.
+"(R) violated: 2/p + eps/2 + rho/(2p) = 1.03 >= 1".
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .grid import Field, Grid
 from .integrator import RunConfig
 from .material import PROTOTYPE, AssumptionError, Material, PowerPairPotential
 from .noise import NoiseModel, PowerLawSchedule, TableSchedule, strat_constant
+
+
+#: 128 MiB per field; a run holds about 13 field-sized arrays
+MAX_GRID_NODES = 2**24
 
 
 class ConfigError(ValueError):
@@ -119,14 +124,15 @@ _POTENTIAL = {"kind": _choice("power-pair"),
               **dict.fromkeys(("coef_high", "exp_high", "coef_low", "exp_low", "const"), _number)}
 _MATERIAL = {"p": _number, "eps": _number, "rho": _number, "potential": _potential}
 _SCHEDULE = {"lambda0": _number, "s": _number}
-_NOISE = {"trunc_C": _number, "mode_cap": _integer, "seed": _integer, "interpretation": _string}
+_NOISE = {"trunc_C": _number, "mode_cap": _integer, "seed": _integer}
 _RUN = {"t_max": _number, "dt": _dt, "e_max_C": _number, "u_floor": _number,
         "max_halvings": _integer, "snapshot_times": _times,
         "diag_interval": _integer, "alpha": _number, "kappa": _number}
 _TABLES = {
     "grid": _GRID,
     "material": _MATERIAL,
-    "noise": {**_SCHEDULE, **_NOISE, "schedule": _choice("power-law", "table"), "table": _table},
+    "noise": {**_SCHEDULE, **_NOISE, "schedule": _choice("power-law", "table"), "table": _table,
+              "interpretation": _choice("ito", "stratonovich")},
     "run": _RUN,
     "initial": {"kind": _choice("constant", "cosine-perturbed", "file"),
                 "base": _number, "amplitude": _number, "path": _path},
@@ -207,6 +213,9 @@ class Bundle:
 
 def _build_grid(values: dict) -> Grid:
     grid = Grid(**{"nx": 32, "ny": 32, "Lx": 1.0, "Ly": 1.0, **values})
+    if grid.n_nodes > MAX_GRID_NODES:  # checked before any field is allocated
+        raise ValueError(f"grid.nx * grid.ny must not exceed {MAX_GRID_NODES} nodes "
+                         f"(4096 x 4096; got {grid.nx} x {grid.ny})")
     if not (grid.h < 1.0):
         raise AssumptionError(f"(S) violated: mesh parameter h = {grid.h:g} must be below 1 "
                               "(express lengths in units with sub-unit cells)")
@@ -221,14 +230,17 @@ def _build_noise(values: dict) -> NoiseModel:
     return NoiseModel(sched, **{k: v for k, v in values.items() if k in _NOISE})
 
 
-def _build_material(values: dict, model: NoiseModel | None, grid: Grid | None) -> Material:
-    """The material; p defaults to the potential's leading exponent, and the
-    shift is the Stratonovich correction constant, or 0 for Ito noise."""
-    shift = 0.0
-    if model is not None and model.interpretation == "stratonovich":
-        if grid is None:
-            raise AssumptionError("Stratonovich shift needs the domain size")
-        shift = strat_constant(model, grid.Lx, grid.Ly)
+def _strat_shift(noise: dict, model: NoiseModel | None, grid: Grid | None) -> float:
+    """The potential shift of the noise section: the correction constant of a
+    Stratonovich model, and 0 for Ito noise or where the model or the grid
+    failed (a violation already)."""
+    if model is None or grid is None or noise.get("interpretation") != "stratonovich":
+        return 0.0
+    return strat_constant(model, grid.Lx, grid.Ly)
+
+
+def _build_material(values: dict, shift: float) -> Material:
+    """The material; p defaults to the potential's leading exponent."""
     p = values.get("potential", PROTOTYPE).exp_high
     return Material(**{"p": p, **values}, strat_shift=shift)
 
@@ -279,7 +291,8 @@ def assemble(cfg: Config) -> Bundle:
            for name, table in _TABLES.items()}
     grid = build(_build_grid, sec["grid"])
     model = build(_build_noise, sec["noise"])
-    mat = build(_build_material, sec["material"], model, grid)
+    shift = build(_strat_shift, sec["noise"], model, grid)
+    mat = build(_build_material, sec["material"], shift or 0.0)
     initial = build(_build_initial, sec["initial"], grid)
     run_cfg = build(lambda values: RunConfig(**{"t_max": 0.0, **values}), sec["run"])
     if violations:

@@ -26,9 +26,7 @@ abort raised; ``step_em`` runs it for one step.  Each replica's draws are
 a pure function of (seed, component, k, l, step, attempt), so a replica in
 a stack reproduces its lone run bit for bit.  The loop allocates one
 ``scheme.Buffers`` set per run, and every step writes its noise fields,
-candidate and state terms into it.  A Stratonovich ``noise.NoiseWorkspace``
-carries its correction constant, and ``_integrate`` raises an AssumptionError
-unless ``mat.strat_shift`` equals it: such a model never runs as Ito noise.
+candidate and state terms into it.
 
 The base step defaults to a tenth of the explicit stability bound of the
 linearized fourth-order terms (mobility part plus h^eps curvature part);
@@ -45,7 +43,7 @@ import numpy as np
 
 from . import diagnostics, fem, scheme
 from .grid import Field, Grid
-from .material import AssumptionError, Material
+from .material import Material
 from .noise import ATTEMPT_SLOTS, NoiseModel, NoiseWorkspace
 
 
@@ -291,8 +289,6 @@ def _integrate(start: SimState, cfg: RunConfig, mat: Material, ws: NoiseWorkspac
     RunResult without records or snapshots, or the SimulationAbort that
     ended it.
     """
-    if ws.strat_shift not in (None, mat.strat_shift):
-        raise AssumptionError(f"Stratonovich noise needs strat_shift = {ws.strat_shift!r}")
     grid, mass0 = start.u.grid, start.initial_mass
     u = np.tile(start.u.values, (*lead, 1, 1))
     base_dt = cfg.base_dt(grid, mat)

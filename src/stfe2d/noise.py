@@ -27,7 +27,7 @@ mesh size and synthesizes each step's noise fields; the integrator only steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -140,7 +140,6 @@ class NoiseModel:
     trunc_C: float = 1.0
     mode_cap: int = 64
     seed: int = 0
-    interpretation: str = "ito"
 
     def __post_init__(self):
         if not (math.isfinite(self.trunc_C) and self.trunc_C > 0.0):
@@ -149,14 +148,9 @@ class NoiseModel:
             raise NoiseConfigError("mode_cap must be nonnegative")
         if not (0 <= self.seed < 2**64):
             raise NoiseConfigError("seed must fit in 64 bits")
-        if self.interpretation not in ("ito", "stratonovich"):
-            raise NoiseConfigError(f"unknown interpretation {self.interpretation!r}")
-        if self.interpretation == "stratonovich" and not self.schedule.symmetric:
-            raise NoiseConfigError(STRAT_SYMMETRY_ERROR)
 
     def with_seed(self, seed: int) -> "NoiseModel":
-        return NoiseModel(self.schedule, self.trunc_C, self.mode_cap, seed,
-                          self.interpretation)
+        return replace(self, seed=seed)
 
 
 def truncation_radius(model: NoiseModel, h: float, eps: float) -> int:
@@ -307,7 +301,8 @@ def strat_constant(model: NoiseModel, Lx: float, Ly: float) -> float:
          + 2 sum_{k>=1} (lambda_k0^2 + lambda_0k^2)) / (Lx Ly),
 
     summed over the representable modes (|k|, |l| <= mode_cap); the sign
-    classes are folded into the coefficients 4 and 2.
+    classes are folded into the coefficients 4 and 2.  A Stratonovich run is
+    the Ito run of ``Material(strat_shift=strat_constant(model, Lx, Ly))``.
     """
     if not model.schedule.symmetric:
         raise NoiseConfigError(STRAT_SYMMETRY_ERROR)
@@ -357,8 +352,6 @@ class NoiseWorkspace:
     mode m: shape (2, M) for one seed, (R, 2, M) for a stack of replicas
     with one seed each, whose fields then carry the replica axis first.
     ``half`` holds C^T gx of each field between the two products.
-    ``strat_shift`` is the potential shift a Stratonovich model needs, its
-    ``strat_constant``, and None for Ito noise.
 
     ``build`` works on whole arrays: the mode indices come from
     ``mode_indices``, one ``mode_keys`` call mixes the keys of both
@@ -372,7 +365,6 @@ class NoiseWorkspace:
     lam: np.ndarray        # (2, M): lambda_x and lambda_y of each mode
     keys: np.ndarray
     half: np.ndarray       # (*keys.shape[:-1], 2r+1, nx) scratch
-    strat_shift: float | None
 
     @classmethod
     def build(cls, model: NoiseModel, grid: Grid, eps: float,
@@ -383,14 +375,12 @@ class NoiseWorkspace:
         ks, ls = mode_indices(r)
         seed = model.seed if seeds is None else np.asarray(seeds, dtype=np.uint64)[:, None, None]
         keys = mode_keys(seed, np.arange(2)[:, None], ks, ls)
-        strat = model.interpretation == "stratonovich"
         return cls(
             gx=basis_table(r, grid.hx * np.arange(grid.nx), grid.Lx),
             gy=basis_table(r, grid.hy * np.arange(grid.ny), grid.Ly),
             lam=model.schedule.lambda_table(r).reshape(2, -1),
             keys=keys,
             half=np.empty((*keys.shape[:-1], 2 * r + 1, grid.nx)),
-            strat_shift=strat_constant(model, grid.Lx, grid.Ly) if strat else None,
         )
 
     @cached_property

@@ -10,9 +10,8 @@ from stfe2d.integrator import (NoiseWorkspace, OverflowAbort, PositivityAbort,
                                RunConfig, SimState, run, run_replicas, stable_dt, step_em,
                                time_slack)
 from stfe2d.config import Config, assemble
-from stfe2d.material import AssumptionError, Material
-from stfe2d.noise import (NoiseModel, PowerLawSchedule, TableSchedule, strat_constant,
-                          truncation_set)
+from stfe2d.material import Material
+from stfe2d.noise import NoiseModel, PowerLawSchedule, TableSchedule, truncation_set
 
 
 def silent_model():
@@ -618,23 +617,6 @@ def test_run_replicas_equal_lone_runs_bit_for_bit(mat):
     assert kinds == {"abort", "stopped", "ran"}
 
 
-
-@pytest.mark.parametrize("shift", [0.0, 0.5])
-def test_a_stratonovich_model_needs_its_shift_at_every_entry_point(shift):
-    # a material without the correction constant would step the model as
-    # Ito noise; run, run_replicas and step_em all meet in the one loop
-    grid = Grid(8, 8, 1.0, 1.0)
-    model = NoiseModel(PowerLawSchedule(), seed=3, interpretation="stratonovich")
-    mat = Material(strat_shift=shift * strat_constant(model, grid.Lx, grid.Ly))
-    cfg, u0 = RunConfig(t_max=5 * stable_dt(grid, mat)), cosine_film(grid)
-    with pytest.raises(AssumptionError, match="Stratonovich"):
-        run(u0, cfg, mat, model)
-    with pytest.raises(AssumptionError, match="Stratonovich"):
-        run_replicas(u0, cfg, mat, model, [3, 4])
-    with pytest.raises(AssumptionError, match="Stratonovich"):
-        step_em(SimState.initial(u0), cfg, mat, NoiseWorkspace.build(model, grid, mat.eps))
-
-
 def test_a_stratonovich_bundle_from_the_config_runs_with_its_shift():
     bundle = assemble(Config(grid={"nx": 8, "ny": 8}, run={"t_max": 1e-7},
                              noise={"interpretation": "stratonovich", "seed": 3},
@@ -645,5 +627,5 @@ def test_a_stratonovich_bundle_from_the_config_runs_with_its_shift():
     [stacked] = run_replicas(*args, bundle.noise, [3])
     assert np.array_equal(stacked.final.u.values, strat.final.u.values)
     ito = run(bundle.initial, bundle.run, replace(bundle.material, strat_shift=0.0),
-              replace(bundle.noise, interpretation="ito"))
+              bundle.noise)
     assert not np.array_equal(ito.final.u.values, strat.final.u.values)

@@ -166,6 +166,18 @@ def test_stratonovich_asymmetric_table_is_rejected(tmp_path):
     assert any("symmetric" in v for v in info.value.violations)
 
 
+@pytest.mark.parametrize("eps, violation", [
+    (2.5, "regularization exponent eps = 2.5 must lie in (0, 2)"),
+    ("x", "material.eps must be a number (got 'x')"),
+])
+def test_an_asymmetric_stratonovich_table_is_reported_with_the_material(eps, violation):
+    with pytest.raises(ConfigError) as info:
+        assemble(Config(material={"eps": eps}, noise={
+            "schedule": "table", "table": {"1,0": 1.0}, "interpretation": "stratonovich"}))
+    assert sorted(info.value.violations) == sorted(
+        [violation, "Stratonovich mode requires symmetric lambda"])
+
+
 def test_stratonovich_auto_shift_matches_constant(tmp_path):
     path = write_config(tmp_path, noise={"interpretation": "stratonovich"})
     bundle = assemble(load_config(path))
@@ -376,6 +388,7 @@ def _write_snapshots(folder):
     ({"initial": {"kind": "sine"}}, "initial.kind"),
     ({"noise": {"schedule": "table", "table": {"a,b": 0.1}}}, "noise.table"),
     ({"noise": {"schedule": "table", "table": {"1,0": "0.1"}}}, "noise.table"),
+    ({"noise": {"interpretation": "strat"}}, "noise.interpretation"),
 ])
 def test_bad_values_are_violations_that_name_their_key(tmp_path, monkeypatch, data, key):
     monkeypatch.chdir(tmp_path)
@@ -388,6 +401,24 @@ def test_bad_values_are_violations_that_name_their_key(tmp_path, monkeypatch, da
     with contextlib.redirect_stdout(out):
         assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
     assert key in out.getvalue()
+
+
+@pytest.mark.parametrize("nx, ny", [(10**300, 8), (10**5, 10**5), (4097, 4096)])
+def test_a_grid_beyond_the_node_bound_is_rejected_before_any_field_exists(tmp_path, nx, ny):
+    # a 10^5 x 10^5 field alone would take 80 GB
+    with pytest.raises(ConfigError) as info:
+        assemble(Config(grid={"nx": nx, "ny": ny}))
+    [violation] = info.value.violations
+    assert "grid.nx" in violation and "grid.ny" in violation
+    path = write_config(tmp_path, grid={"nx": nx, "ny": ny})
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert "grid.nx" in out.getvalue()
+
+
+def test_the_largest_grid_within_the_node_bound_is_accepted():
+    assert config._build_grid({"nx": 4096, "ny": 4096}).n_nodes == config.MAX_GRID_NODES
 
 
 def test_initial_data_must_be_finite():

@@ -254,9 +254,13 @@ def test_b3star_monitor_bounded_under_refinement():
 def test_stratonovich_requires_symmetric_schedule():
     asym = TableSchedule.from_dict({(1, 0): (1.0, 1.0)})  # missing (-1, 0)
     with pytest.raises(NoiseConfigError, match="symmetric"):
-        NoiseModel(asym, interpretation="stratonovich")
+        strat_constant(NoiseModel(asym), 1.0, 1.0)
     sym = TableSchedule.from_dict({(1, 0): 1.0, (-1, 0): 1.0})
-    NoiseModel(sym, interpretation="stratonovich")  # accepted
+    assert strat_constant(NoiseModel(sym), 1.0, 1.0) == 2.0  # g_1^2 + g_-1^2 on the unit square
+    # the model is Ito-only: a Stratonovich run is asked for through the
+    # material's shift, so no model can carry the interpretation and lose it
+    with pytest.raises(TypeError):
+        NoiseModel(sym, interpretation="stratonovich")
 
 
 def _symmetric_by_scan(table):
@@ -362,7 +366,7 @@ def test_strat_constant_is_pinned():
 
 def test_strat_constant_rejects_asymmetric():
     asym = TableSchedule.from_dict({(1, 0): 1.0})
-    model = NoiseModel(asym, interpretation="ito")
+    model = NoiseModel(asym)
     with pytest.raises(NoiseConfigError, match="Stratonovich mode requires symmetric lambda"):
         strat_constant(model, 1.0, 1.0)
 
@@ -405,3 +409,32 @@ def test_ito_correction_operator_is_discrete_laplacian_multiple():
         resid = np.sqrt(fem.inner_h(err, err, grid) / fem.inner_h(mu_u, mu_u, grid))
         assert resid <= 1e-12
         assert 0.0 < c_hat < intensity
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_stratonovich_shift_drift_is_the_ito_correction_of_the_noise():
+    # the drift that the potential shift C (u - log u) adds must equal the
+    # Ito-Stratonovich drift 1/2 sum_m sum_c Z_c(Z_c(u; lambda_c g_m); lambda_c g_m)
+    # of the simulated noise, up to O(h^2); C is summed over the active modes
+    from stfe2d import scheme
+    from stfe2d.material import Material
+
+    grid = Grid(64, 64, 1.0, 1.0)
+    mat = Material()
+    model = NoiseModel(PowerLawSchedule(0.1, 4.0), trunc_C=1.0)
+    r = noise.truncation_radius(model, grid.h, mat.eps)
+    active = NoiseModel(model.schedule, trunc_C=1.0, mode_cap=r)
+    x, y = grid.node_coords()
+    u = (1.0 + 0.3 * np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
+         + 0.1 * np.sin(4 * np.pi * y))
+    shifted = Material(strat_shift=strat_constant(active, grid.Lx, grid.Ly))
+    shift_drift = scheme.drift_values(u, shifted, grid) - scheme.drift_values(u, mat, grid)
+
+    lam = model.schedule.lambda_table(r)
+    correction = np.zeros_like(u)
+    for k, l in truncation_set(model, grid.h, mat.eps):
+        g = basis_eval(k, l, grid).values
+        for c, z_apply in enumerate((scheme.z_apply_x, scheme.z_apply_y)):
+            w = lam[c, k + r, l + r] * g
+            correction += 0.5 * z_apply(z_apply(u, w, grid), w, grid)
+    assert np.abs(shift_drift - correction).max() <= 0.05 * np.abs(correction).max()

@@ -23,6 +23,22 @@ def test_no_np_roll_outside_the_oracle():
     assert calls == []
 
 
+def test_the_noise_interpretation_is_known_to_config_alone():
+    # config turns noise.interpretation into the material's potential shift;
+    # the noise model, the workspace and the stepping loop are Ito-only
+    named = {ast.Attribute: "attr", ast.keyword: "arg", ast.arg: "arg", ast.Name: "id",
+             ast.Constant: "value"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, named.get(type(node), ""), None)
+            if name in ("interpretation", "stratonovich"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_noise_workspace_build_has_no_python_loop():
     # the workspace is built from whole arrays; a loop or comprehension over
     # the modes or the seeds would cost milliseconds per run at n = 128
