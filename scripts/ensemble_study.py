@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Monte-Carlo ensemble over replica seeds; prints and saves the summary.
 
-Replica r runs with seed base_seed + r.  STFE2D_THREADS caps the worker
-pool (default: CPU count).
+Replica r runs with seed base_seed + r.  --workers sets the size of the
+worker pool (default: CPU count).
 """
 
 import argparse
@@ -22,6 +22,8 @@ def main():
     ap.add_argument("--steps", type=int, default=100)
     ap.add_argument("--lambda0", type=float, default=0.1)
     ap.add_argument("--seed", type=int, default=1000)
+    ap.add_argument("--workers", type=int, default=None,
+                    help="worker processes (default: CPU count)")
     ap.add_argument("--p-bar", type=float, default=1.0,
                     help="moment exponent for the sup-R sample mean")
     ap.add_argument("--out", type=Path, default=Path("out/ensemble_summary.csv"))
@@ -35,7 +37,7 @@ def main():
         initial={"kind": "cosine-perturbed", "base": 1.0, "amplitude": 0.1},
         output={"dir": str(args.out.parent), "prefix": "ensemble"},
     )
-    summary = mc_ensemble(cfg, args.replicas, p_bar=args.p_bar)
+    summary = mc_ensemble(cfg, args.replicas, max_workers=args.workers, p_bar=args.p_bar)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_summary_csv(summary, args.out)
 

@@ -8,13 +8,13 @@ the index range is cut into contiguous chunks of ceil(n_replicas / workers)
 replicas, at most 2**18 // (nx * ny) of them (2 MiB per stacked field),
 and each chunk is stepped as one (R, ny, nx) array by
 ``integrator.run_replicas``, whose replicas equal their lone runs bit for
-bit.  Chunks run in worker processes, capped by the STFE2D_THREADS
-environment variable (default: CPU count; a non-integer value is an
-error), or in-process with one worker.  Aborted replicas are recorded, not
-fatal; if a chunk fails in any other way, its replicas are rerun one at a
-time through ``integrator.run``, so such an exception is recorded with the
-replica that raised it, prefixed by its type name.  Summaries are reduced
-in replica order, so they are deterministic functions of (config,
+bit.  The config is assembled once, and its ``Bundle`` goes to every
+chunk.  Chunks run in a pool of ``max_workers`` worker processes (default:
+CPU count), or in-process with one worker.  Aborted replicas are recorded,
+not fatal; if a chunk fails in any other way, its replicas are rerun one
+at a time through ``integrator.run``, so such an exception is recorded
+with the replica that raised it, prefixed by its type name.  Summaries are
+reduced in replica order, so they are deterministic functions of (config,
 n_replicas).
 
 Refinement studies compute errors across a mesh sequence and fit log-log
@@ -34,22 +34,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fem
-from .config import Config, assemble
+from .config import Bundle, Config, assemble
 from .grid import Grid
 from .integrator import SimulationAbort, run, run_replicas
 from .io import format_row
 from .noise import NoiseModel, PowerLawSchedule, b3star_monitor
-
-
-def worker_cap() -> int:
-    env = os.environ.get("STFE2D_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"STFE2D_THREADS must be an integer worker count, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +92,8 @@ def _outcome(replica: int, seed: int, result) -> ReplicaOutcome:
                           st.stopped, st.stop_time, result.max_mass_drift, st.step)
 
 
-def _run_replica(cfg: Config, replica: int) -> ReplicaOutcome:
+def _run_replica(bundle: Bundle, replica: int) -> ReplicaOutcome:
     """One replica alone through ``integrator.run``: the reference path."""
-    bundle = assemble(cfg)
     seed = (bundle.noise.seed + replica) % 2**64
     try:
         result = run(bundle.initial, bundle.run, bundle.material,
@@ -116,9 +104,8 @@ def _run_replica(cfg: Config, replica: int) -> ReplicaOutcome:
     return _outcome(replica, seed, result)
 
 
-def _run_chunk(cfg: Config, first: int, stop: int) -> list[ReplicaOutcome]:
+def _run_chunk(bundle: Bundle, first: int, stop: int) -> list[ReplicaOutcome]:
     """Replicas first..stop-1 stepped together as one stack."""
-    bundle = assemble(cfg)
     replicas = range(first, stop)
     seeds = [(bundle.noise.seed + r) % 2**64 for r in replicas]
     try:
@@ -127,7 +114,7 @@ def _run_chunk(cfg: Config, first: int, stop: int) -> list[ReplicaOutcome]:
     except Exception:
         # not one replica's abort: rerun them one by one, so that the error
         # is recorded with the replica that raised it
-        return [_run_replica(cfg, r) for r in replicas]
+        return [_run_replica(bundle, r) for r in replicas]
     return [_outcome(r, seed, res) for r, seed, res in zip(replicas, seeds, results)]
 
 
@@ -149,15 +136,16 @@ def mc_ensemble(cfg: Config, n_replicas: int, max_workers: int | None = None,
         raise ValueError("n_replicas must be >= 1")
     if max_workers is not None and max_workers < 1:
         raise ValueError("max_workers must be >= 1")
-    workers = min(worker_cap() if max_workers is None else max_workers, n_replicas)
-    size = chunk_size(n_replicas, workers, assemble(cfg).grid.n_nodes)
+    workers = min(max_workers or os.cpu_count() or 1, n_replicas)
+    bundle = assemble(cfg)
+    size = chunk_size(n_replicas, workers, bundle.grid.n_nodes)
     firsts = range(0, n_replicas, size)
     stops = [min(first + size, n_replicas) for first in firsts]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(firsts))) as pool:
-            chunks = list(pool.map(_run_chunk, [cfg] * len(firsts), firsts, stops))
+            chunks = list(pool.map(_run_chunk, [bundle] * len(firsts), firsts, stops))
     else:
-        chunks = [_run_chunk(cfg, first, stop) for first, stop in zip(firsts, stops)]
+        chunks = [_run_chunk(bundle, first, stop) for first, stop in zip(firsts, stops)]
     outcomes = [o for chunk in chunks for o in chunk]
 
     ok = [o for o in outcomes if o.error is None]

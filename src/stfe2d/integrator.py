@@ -184,7 +184,8 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
 
     Every field of the step is written into ``bufs``, the run's
     ``scheme.Buffers``: the new state's field stays valid through the next
-    step, and its terms until the next evaluation.
+    step, and its terms until the next evaluation.  A stack's partial
+    acceptance copies the accepted states into ``reps.u`` in place.
     """
     dt_full = np.minimum(base_dt, cfg.t_max - reps.t)
     # a replica at the horizon is not live: it draws with a step it does not take
@@ -196,7 +197,7 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
     if stopped.any():  # a frozen live replica advances its clock
         t = np.where(live & stopped, reps.t + dt_full, t)
 
-    u = u_new = reps.u
+    u = reps.u
     cand = bufs.free_field(u)
     w_out, (base, zy, tmp) = bufs.noise, bufs.scratch[2:5]
     moved = False
@@ -219,17 +220,13 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
                 aborts[idx] = OverflowAbort(step)
         accept = pending & finite & (cand > cfg.u_floor).all(axis=(-2, -1))
         if accept.all():  # every replica was pending and accepts
-            u_new, t, moved = cand, reps.t + dt_try, accept
+            u, t, moved = cand, reps.t + dt_try, accept
             break
         pending = pending & finite & ~accept
-        if accept.any():  # a stack's partial acceptance
+        if accept.any():  # a stack's partial acceptance: the accepted states leave cand
             t = np.where(accept, reps.t + dt_try, t)
             moved = moved | accept
-            if pending.any():  # cand is drawn again: the accepted states leave it
-                u_new = np.where(accept[..., None, None], cand, u_new)
-            else:  # the last attempt: the other states join cand in place
-                np.copyto(cand, u_new, where=~accept[..., None, None])
-                u_new = cand
+            np.copyto(u, cand, where=accept[..., None, None])
     else:
         for idx in map(tuple, np.argwhere(pending)):  # halvings exhausted
             flat = int(np.argmin(cand[idx]))
@@ -238,8 +235,8 @@ def em_step(reps: Replicas, step: int, live, cfg: RunConfig, mat: Material,
                                           float(dt_try[idx]))
 
     if np.asarray(moved).any():
-        terms = scheme.state_terms(u_new, mat, grid, bufs)
-    return reps._replace(u=u_new, t=t, terms=terms), aborts
+        terms = scheme.state_terms(u, mat, grid, bufs)
+    return reps._replace(u=u, t=t, terms=terms), aborts
 
 
 def step_em(state: SimState, cfg: RunConfig, mat: Material,
@@ -248,7 +245,7 @@ def step_em(state: SimState, cfg: RunConfig, mat: Material,
     stepping loop of ``run`` for one step, which raises its abort.  A
     running state whose energy reaches the threshold freezes at ``state.t``;
     a state at the horizon is returned unchanged."""
-    [result] = _integrate(state, cfg, mat, ws, (), budget=1)
+    [result] = _integrate(state, cfg, mat, ws, budget=1)
     if isinstance(result, SimulationAbort):
         raise result
     return result.final
@@ -275,8 +272,8 @@ class RunResult:
 
 
 def _integrate(start: SimState, cfg: RunConfig, mat: Material, ws: NoiseWorkspace,
-               lead: tuple, visit: Callable | None = None, budget: float = math.inf) -> list:
-    """The stepping loop: integrate the replicas of ``ws`` (lead = () for one
+               visit: Callable | None = None, budget: float = math.inf) -> list:
+    """The stepping loop: integrate the replicas of ``ws`` (lead () for one
     seed, (R,) for R seeds) from ``start`` to t_max through ``em_step``, at
     most ``budget`` steps, with the running monitors of each replica.
 
@@ -289,7 +286,7 @@ def _integrate(start: SimState, cfg: RunConfig, mat: Material, ws: NoiseWorkspac
     RunResult without records or snapshots, or the SimulationAbort that
     ended it.
     """
-    grid, mass0 = start.u.grid, start.initial_mass
+    grid, mass0, lead = start.u.grid, start.initial_mass, ws.keys.shape[:-2]
     u = np.tile(start.u.values, (*lead, 1, 1))
     base_dt = cfg.base_dt(grid, mat)
     e_max = diagnostics.threshold_energy(grid, mat, cfg.e_max_C)
@@ -390,7 +387,7 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
             if snapshot_cb is not None:
                 snapshot_cb(s)
 
-    [result] = _integrate(SimState.initial(u0), cfg, mat, ws, (), emit)
+    [result] = _integrate(SimState.initial(u0), cfg, mat, ws, emit)
     return replace(result, records=records, snapshots=snapshots)
 
 
@@ -404,4 +401,4 @@ def run_replicas(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
     raises.  Replicas that reach the horizon or abort drop out of the step.
     """
     ws = NoiseWorkspace.build(model, u0.grid, mat.eps, seeds)
-    return _integrate(SimState.initial(u0), cfg, mat, ws, (len(seeds),))
+    return _integrate(SimState.initial(u0), cfg, mat, ws)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from stfe2d.config import Config
-from stfe2d.harness import (EnsembleSummary, mc_ensemble, refinement_study,
-                            worker_cap)
+from stfe2d.harness import EnsembleSummary, mc_ensemble, refinement_study
 from stfe2d.integrator import stable_dt
 from stfe2d.grid import Grid
 from stfe2d.material import Material
@@ -80,17 +79,8 @@ def test_aborted_replicas_are_recorded_not_fatal(tmp_path):
     assert all(o.error is not None for o in summary.outcomes)
 
 
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.setenv("STFE2D_THREADS", "3")
-    assert worker_cap() == 3
-    monkeypatch.delenv("STFE2D_THREADS")
-    assert worker_cap() >= 1
-
-
-def test_worker_cap_rejects_non_integer_env(monkeypatch):
-    monkeypatch.setenv("STFE2D_THREADS", "two")
-    with pytest.raises(ValueError, match="STFE2D_THREADS"):
-        worker_cap()
+def failing_batch(*args):
+    raise RuntimeError("batched runner failed")
 
 
 def test_unexpected_replica_errors_are_recorded_not_fatal(tmp_path, monkeypatch):
@@ -105,9 +95,6 @@ def test_unexpected_replica_errors_are_recorded_not_fatal(tmp_path, monkeypatch)
             raise failures[model.seed]
         return real_run(u0, cfg, mat, model)
 
-    def failing_batch(*args):
-        raise RuntimeError("batched runner failed")
-
     # the chunk's batched run fails as a whole, so each replica is rerun
     # alone and its own error is recorded
     monkeypatch.setattr(harness, "run", flaky_run)
@@ -119,6 +106,25 @@ def test_unexpected_replica_errors_are_recorded_not_fatal(tmp_path, monkeypatch)
     assert errors[1] == "PositivityError: field must be strictly positive"
     assert errors[2] == "ValueError: bad value"
     assert np.isfinite(summary.sup_R_mean)
+
+
+@pytest.mark.parametrize("batch_fails", [False, True])
+def test_an_ensemble_assembles_its_config_once(tmp_path, monkeypatch, batch_fails):
+    # in-process and on the replica-by-replica rerun of a failed chunk
+    from stfe2d import harness
+    calls = []
+    real_assemble = harness.assemble
+
+    def counting_assemble(cfg):
+        calls.append(cfg)
+        return real_assemble(cfg)
+
+    monkeypatch.setattr(harness, "assemble", counting_assemble)
+    if batch_fails:
+        monkeypatch.setattr(harness, "run_replicas", failing_batch)
+    summary = mc_ensemble(ensemble_config(tmp_path, steps=5), 4, max_workers=1)
+    assert summary.n_aborted == 0
+    assert len(calls) == 1
 
 
 def mixed_config(tmp_path):
@@ -139,9 +145,8 @@ def test_batched_chunks_equal_lone_replicas_bit_for_bit(tmp_path):
     from stfe2d.config import assemble
     from stfe2d.integrator import run
     cfg = mixed_config(tmp_path)
-    lone = [harness._run_replica(cfg, r) for r in range(12)]
-
     bundle = assemble(cfg)
+    lone = [harness._run_replica(bundle, r) for r in range(12)]
 
     def halves(replica):
         res = run(bundle.initial, bundle.run, bundle.material,

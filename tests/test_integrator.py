@@ -557,34 +557,50 @@ def test_run_constants_are_computed_once(mat, monkeypatch):
     assert 1 <= calls["threshold_energy"] <= 2
 
 
-@pytest.mark.parametrize("live", [np.True_, np.array([True, False, True])])
-def test_em_step_allocates_no_field_after_warm_up(mat, live):
+@pytest.mark.parametrize("live, lambda0, floor_gap", [
+    (np.True_, 0.1, None), (np.array([True, False, True]), 0.1, None),
+    # strong noise and a floor just below min u0: the replicas accept at
+    # different halving attempts, so a step both accepts and redraws
+    (np.array([True, True, True]), 10.0, 1e-5)],
+    ids=["live0", "live1", "partial_acceptance"])
+def test_em_step_allocates_no_field_after_warm_up(mat, live, lambda0, floor_gap):
     # the step writes every field into the run's buffers: ten noisy steps
     # on 64x64 fields trace a peak below the bytes of the stepped fields,
-    # also for a stack with a replica that no longer steps
+    # also for a stack with a replica that no longer steps, and for a
+    # stack's partial acceptance
     import tracemalloc
     from stfe2d.integrator import Replicas, em_step
     grid = Grid(64, 64, 1.0, 1.0)
-    cfg = RunConfig(t_max=1.0)
+    u0 = cosine_film(grid).values
+    cfg = RunConfig(t_max=1.0) if floor_gap is None else \
+        RunConfig(t_max=1.0, u_floor=u0.min() - floor_gap)
     lead = live.shape
-    ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule(lambda0=0.1), seed=8), grid, mat.eps,
-                              seeds=[8, 9, 10] if lead else None)
+    ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule(lambda0=lambda0), seed=8), grid,
+                              mat.eps, seeds=[8, 9, 10] if lead else None)
     assert ws.active
     base_dt = cfg.base_dt(grid, mat)
-    u = np.tile(cosine_film(grid).values, (*lead, 1, 1))
+    u = np.tile(u0, (*lead, 1, 1))
     bufs = scheme.Buffers(u.shape)
     reps = Replicas(u, np.zeros(lead), np.zeros(lead, bool), np.full(lead, np.nan),
                     scheme.state_terms(u, mat, grid, bufs))
     reps, _ = em_step(reps, 0, live, cfg, mat, ws, grid, base_dt, bufs)
+    aborts, dts = {}, []
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         for step in range(1, 11):
-            reps, aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, bufs)
+            t0 = reps.t
+            reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, bufs)
+            aborts.update(new_aborts)
+            dts.append(reps.t - t0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert not aborts and np.array_equal(reps.t, np.where(live, 11 * base_dt, 0.0))
+    assert not aborts
+    if floor_gap is None:
+        assert np.array_equal(reps.t, np.where(live, 11 * base_dt, 0.0))
+    else:  # a replica took a longer step than another: it accepted, the other redrew
+        assert any(np.ptp(dt) > 0 for dt in dts)
     assert peak < u.nbytes
 
 

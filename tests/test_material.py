@@ -31,7 +31,8 @@ def pow_potential(pot, u):
 
 @pytest.mark.parametrize("pot", [PowerPairPotential(),
                                  PowerPairPotential(2.0, 4.0, 0.5, 3.0, 0.0),
-                                 PowerPairPotential(1.5, 7.0, 1.0, 1.0, 1.0)])
+                                 PowerPairPotential(1.5, 7.0, 1.0, 1.0, 1.0),
+                                 PowerPairPotential(exp_low=0.0)])
 def test_integer_exponents_stay_within_8_eps_of_pow(pot):
     # the powers come from one reciprocal by repeated squaring; measured
     # relative to the sum of the terms' magnitudes, since F' has a root
@@ -41,6 +42,18 @@ def test_integer_exponents_stay_within_8_eps_of_pow(pot):
     assert np.all(np.abs(pot.f(u) - f) <= 8 * eps * scale_f)
     assert np.all(np.abs(pot.df(u) - df) <= 8 * eps * scale_df)
     assert not np.array_equal(pot.df(u), df)  # the squaring path is the one under test
+
+
+def test_a_config_with_a_constant_low_term_runs():
+    # exp_low = 0 turns the low term into the constant coef_low
+    from stfe2d.config import Config, assemble
+    from stfe2d.integrator import run
+    bundle = assemble(Config(grid={"nx": 8, "ny": 8}, run={"t_max": 1e-7},
+                             material={"potential": {"exp_low": 0}},
+                             initial={"kind": "cosine-perturbed", "amplitude": 0.1}))
+    assert bundle.material.potential.exp_low == 0.0
+    res = run(bundle.initial, bundle.run, bundle.material, bundle.noise)
+    assert res.final.step > 1 and res.final.t == pytest.approx(1e-7)
 
 
 def test_non_integer_exponents_give_pow_bit_for_bit():

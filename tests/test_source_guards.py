@@ -39,6 +39,24 @@ def test_the_noise_interpretation_is_known_to_config_alone():
     assert found == []
 
 
+def test_no_module_reads_the_process_environment():
+    # every setting reaches the library through an argument or the config
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & readers:
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(SRC.glob("*.py"))) > 1
+    assert found == []
+
+
 def test_noise_workspace_build_has_no_python_loop():
     # the workspace is built from whole arrays; a loop or comprehension over
     # the modes or the seeds would cost milliseconds per run at n = 128
