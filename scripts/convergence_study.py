@@ -15,11 +15,11 @@ def main():
     for kind in ([args.study] if args.study else STUDIES):
         table = refinement_study(kind, STUDIES[kind].levels)
         print(f"\n== {kind} ==")
-        header = "h".ljust(12) + "".join(m.rjust(14) for m in table.metric_names)
+        header = "h".ljust(12) + "".join(m.rjust(14) for m in table.errors)
         print(header)
         for idx, h in enumerate(table.hs):
             row = f"{h:<12.5g}" + "".join(
-                f"{table.errors[m][idx]:>14.5e}" for m in table.metric_names)
+                f"{vals[idx]:>14.5e}" for vals in table.errors.values())
             print(row)
         for metric, slope in table.slopes.items():
             if slope is not None:

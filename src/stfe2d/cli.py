@@ -14,6 +14,7 @@ from . import io as sio
 from .config import ConfigError, assemble, load_config
 from .harness import STUDIES, refinement_study
 from .integrator import SimulationAbort, run
+from .material import AssumptionError
 from .oracle import run_checks
 
 EXIT_OK = 0
@@ -22,13 +23,17 @@ EXIT_RUNTIME = 2
 EXIT_CHECK = 3
 
 
+def _reject(violations, out) -> None:
+    print("configuration rejected:", file=out)
+    for v in violations:
+        print(f"  - {v}", file=out)
+
+
 def _load_bundle(path, out):
     try:
         return assemble(load_config(path))
     except ConfigError as exc:
-        print("configuration rejected:", file=out)
-        for v in exc.violations:
-            print(f"  - {v}", file=out)
+        _reject(exc.violations, out)
         return None
 
 
@@ -82,18 +87,23 @@ def cmd_converge(args, out=None) -> int:
     bundle = _load_bundle(args.config, out)
     if bundle is None:
         return EXIT_VALIDATION
+    try:
+        tables = {kind: refinement_study(kind, study.levels, bundle)
+                  for kind, study in STUDIES.items()}
+    except AssumptionError as exc:  # a level of a study violates (S)
+        _reject([exc], out)
+        return EXIT_VALIDATION
     bundle.out_dir.mkdir(parents=True, exist_ok=True)
     path = bundle.out_dir / f"{bundle.prefix}_rates.csv"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("study,metric,h,value\n")
-        for kind, study in STUDIES.items():
-            table = refinement_study(kind, study.levels, Lx=bundle.grid.Lx, Ly=bundle.grid.Ly,
-                                     model=bundle.noise, eps=bundle.material.eps)
-            for _, metric, h, value in table.rows():
-                fh.write(f"{kind},{metric},{h:.17g},{value:.17g}\n")
+        for kind, table in tables.items():
+            for idx, h in enumerate(table.hs):
+                for metric, values in table.errors.items():
+                    fh.write(f"{kind},{metric},{sio.format_row((h, values[idx]))}\n")
             for metric, slope in table.slopes.items():
                 if slope is not None:
-                    fh.write(f"{kind},{metric}_slope,0,{slope:.17g}\n")
+                    fh.write(f"{kind},{metric}_slope,{sio.format_row((0, slope))}\n")
                     print(f"{kind}/{metric}: slope {slope:.3f}", file=out)
     print(f"rate table: {path}", file=out)
     return EXIT_OK

@@ -24,8 +24,9 @@ import numpy as np
 from . import io as sio
 from .grid import Field, Grid
 from .integrator import RunConfig
-from .material import PROTOTYPE, AssumptionError, Material, PowerPairPotential
+from .material import PROTOTYPE, Material, PowerPairPotential
 from .noise import NoiseModel, PowerLawSchedule, TableSchedule, strat_constant
+from .scheme import require_fine_mesh
 
 
 #: 128 MiB per field; a run holds about 13 field-sized arrays
@@ -216,9 +217,7 @@ def _build_grid(values: dict) -> Grid:
     if grid.n_nodes > MAX_GRID_NODES:  # checked before any field is allocated
         raise ValueError(f"grid.nx * grid.ny must not exceed {MAX_GRID_NODES} nodes "
                          f"(4096 x 4096; got {grid.nx} x {grid.ny})")
-    if not (grid.h < 1.0):
-        raise AssumptionError(f"(S) violated: mesh parameter h = {grid.h:g} must be below 1 "
-                              "(express lengths in units with sub-unit cells)")
+    require_fine_mesh(grid)
     return grid
 
 

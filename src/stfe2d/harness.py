@@ -17,11 +17,13 @@ with the replica that raised it, prefixed by its type name.  Summaries are
 reduced in replica order, so they are deterministic functions of (config,
 n_replicas).
 
-Refinement studies compute errors across a mesh sequence and fit log-log
-slopes: nodal-product interpolation errors (values ~ h^2, x-derivatives
-~ h), the discrete Laplacian eigenvalue against the continuum one (~ h^2),
-the gradient-matching projection (L2 ~ h^2, H1 ~ h), and the truncated
-third-derivative noise load, which must stay bounded under refinement.
+Refinement studies compute errors on the n x n grids of a config's domain,
+every one of which must satisfy (S), h < 1, and fit log-log slopes:
+nodal-product interpolation errors (values ~ h^2, x-derivatives ~ h), the
+discrete Laplacian eigenvalue against the continuum one (~ h^2), the
+gradient-matching projection (L2 ~ h^2, H1 ~ h), and the truncated
+third-derivative noise load of the config's noise and eps, which must stay
+bounded under refinement.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .config import Bundle, Config, assemble
 from .grid import Grid
 from .integrator import SimulationAbort, run, run_replicas
 from .io import format_row
-from .noise import NoiseModel, PowerLawSchedule, b3star_monitor
+from .noise import b3star_monitor
+from .scheme import require_fine_mesh
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +183,9 @@ def mc_ensemble(cfg: Config, n_replicas: int, max_workers: int | None = None,
 
 @dataclass(frozen=True)
 class RateTable:
-    kind: str
-    metric_names: tuple
     hs: tuple
     errors: dict          # metric -> tuple of per-level values
     slopes: dict          # metric -> global log-log fitted slope (or None)
-
-    def rows(self):
-        for idx, h in enumerate(self.hs):
-            for m in self.metric_names:
-                yield (self.kind, m, h, self.errors[m][idx])
 
 
 def _fit_slope(hs, errs) -> float:
@@ -201,26 +197,27 @@ def _gauss01(n):
     return 0.5 * (t + 1.0), 0.5 * w
 
 
-def _corner_stacks(vals: np.ndarray):
-    v00 = vals
-    v10 = fem.shift(vals, -1, -1)
-    v01 = fem.shift(vals, -1, -2)
-    v11 = fem.shift(v01, -1, -1)
-    return v00, v10, v01, v11
+def _bilinear(vals: np.ndarray, ga, gb):
+    """The bilinear interpolant of nodal ``vals`` and its derivatives in the
+    cell coordinates a and b, on every cell at the points (a, b) of
+    ``ga`` x ``gb`` in (0, 1)^2: arrays that broadcast to (ny, nx, nb, na)."""
+    north = fem.shift(vals, -1, -2)
+    v00, v10, v01, v11 = (v[:, :, None, None] for v in
+                          (vals, fem.shift(vals, -1, -1), north, fem.shift(north, -1, -1)))
+    a, b = ga, gb[:, None]
+    value = (v00 * (1 - a) * (1 - b) + v10 * a * (1 - b)
+             + v01 * (1 - a) * b + v11 * a * b)
+    da = (v10 - v00) * (1 - b) + (v11 - v01) * b
+    db = (v01 - v00) * (1 - a) + (v11 - v10) * a
+    return value, da, db
 
 
-def _bilinear_on_gauss(vals, ga, gb):
-    """Evaluate the bilinear interpolant on every cell at tensor Gauss points.
-
-    Returns an array of shape (ny, nx, nb, na)."""
-    v00, v10, v01, v11 = (v[:, :, None, None] for v in _corner_stacks(vals))
-    a = ga[None, None, None, :]
-    b = gb[None, None, :, None]
-    return (v00 * (1 - a) * (1 - b) + v10 * a * (1 - b)
-            + v01 * (1 - a) * b + v11 * a * b)
+def _cell_l2(grid: Grid, sq, w) -> float:
+    """sqrt of the tensor Gauss rule with weights ``w`` of ``sq`` over all cells."""
+    return np.sqrt(grid.cell_area * float((sq * (w[:, None] * w)).sum()))
 
 
-def _interp_level(grid: Grid, model, eps) -> dict:
+def _interp_level(grid: Grid, bundle: Bundle) -> dict:
     """L2 norms of (I - I_h^x){f_h g_h} and of its x-derivative.
 
     The product of two bilinear nodal interpolants is quadratic per cell in
@@ -231,34 +228,19 @@ def _interp_level(grid: Grid, model, eps) -> dict:
     f = np.sin(2 * np.pi * x / grid.Lx) * np.cos(2 * np.pi * y / grid.Ly) + 2.0
     g = np.cos(4 * np.pi * x / grid.Lx) * np.sin(2 * np.pi * y / grid.Ly) + 3.0
     ga, wa = _gauss01(4)
-    fv = _bilinear_on_gauss(f, ga, ga)
-    gv = _bilinear_on_gauss(g, ga, ga)
-    prod = fv * gv
+    fv, dfa, _ = _bilinear(f, ga, ga)
+    gv, dga, _ = _bilinear(g, ga, ga)
 
     # x-interpolant: linear in a between the end-line values of the product
-    fe, ge = (_bilinear_on_gauss(v, np.array([0.0, 1.0]), ga) for v in (f, g))
+    fe, ge = (_bilinear(v, np.array([0.0, 1.0]), ga)[0] for v in (f, g))
     p0, p1 = fe[..., :1] * ge[..., :1], fe[..., 1:] * ge[..., 1:]
-    a = ga[None, None, None, :]
-    interp = p0 * (1 - a) + p1 * a
-    diff = prod - interp
-
+    diff = fv * gv - (p0 * (1 - ga) + p1 * ga)
     # d/dx = (1/hx) d/da of both pieces
-    f00, f10, f01, f11 = (v[:, :, None, None] for v in _corner_stacks(f))
-    g00, g10, g01, g11 = (v[:, :, None, None] for v in _corner_stacks(g))
-    b = ga[None, None, :, None]
-    dfa = (f10 - f00) * (1 - b) + (f11 - f01) * b
-    dga = (g10 - g00) * (1 - b) + (g11 - g01) * b
-    dprod = dfa * gv + fv * dga
-    dinterp = (p1 - p0) * np.ones_like(a)
-    ddiff = (dprod - dinterp) / grid.hx
-
-    w2 = wa[None, None, :, None] * wa[None, None, None, :]
-    cell = grid.cell_area
-    return {"l2": np.sqrt(cell * float((diff**2 * w2).sum())),
-            "dx_l2": np.sqrt(cell * float((ddiff**2 * w2).sum()))}
+    ddiff = (dfa * gv + fv * dga - (p1 - p0)) / grid.hx
+    return {"l2": _cell_l2(grid, diff**2, wa), "dx_l2": _cell_l2(grid, ddiff**2, wa)}
 
 
-def _laplacian_level(grid: Grid, model, eps) -> dict:
+def _laplacian_level(grid: Grid, bundle: Bundle) -> dict:
     """Error of the discrete eigenvalue of the cosine mode k = 1 against the
     continuum one, and the stencil's deviation from it on the nodal mode."""
     k = 1
@@ -270,38 +252,29 @@ def _laplacian_level(grid: Grid, model, eps) -> dict:
     return {"eig_err": abs(mu_h - mu), "stencil_dev": dev}
 
 
-def _ritz_level(grid: Grid, model, eps) -> dict:
+def _ritz_level(grid: Grid, bundle: Bundle) -> dict:
     """L2 and H1-seminorm errors of the gradient-matching projection of
     f = sin(2 pi x / Lx)."""
     def f(x, y):
         return np.sin(2 * np.pi * x / grid.Lx) + 0.0 * y
 
-    proj = fem.ritz_projection(grid, f).values
     ga, wa = _gauss01(6)
-    pv = _bilinear_on_gauss(proj, ga, ga)
-    v00, v10, v01, v11 = (v[:, :, None, None] for v in _corner_stacks(proj))
-    a = ga[None, None, None, :]
-    b = ga[None, None, :, None]
-    dpa = ((v10 - v00) * (1 - b) + (v11 - v01) * b) / grid.hx
-    dpb = ((v01 - v00) * (1 - a) + (v11 - v10) * a) / grid.hy
-
-    x = (np.arange(grid.nx)[None, :, None, None] + a) * grid.hx
-    y = (np.arange(grid.ny)[:, None, None, None] + b) * grid.hy
+    pv, dpa, dpb = _bilinear(fem.ritz_projection(grid, f).values, ga, ga)
+    x = (np.arange(grid.nx)[:, None, None] + ga) * grid.hx
+    y = (np.arange(grid.ny)[:, None, None, None] + ga[:, None]) * grid.hy
     dfx = (2 * np.pi / grid.Lx) * np.cos(2 * np.pi * x / grid.Lx)
-    w2 = wa[None, None, :, None] * wa[None, None, None, :]
-    cell = grid.cell_area
-    return {"l2": np.sqrt(cell * float(((f(x, y) - pv) ** 2 * w2).sum())),
-            "h1": np.sqrt(cell * float((((dfx - dpa) ** 2 + dpb ** 2) * w2).sum()))}
+    return {"l2": _cell_l2(grid, (f(x, y) - pv) ** 2, wa),
+            "h1": _cell_l2(grid, (dfx - dpa / grid.hx) ** 2 + (dpb / grid.hy) ** 2, wa)}
 
 
-def _b3star_level(grid: Grid, model, eps) -> dict:
-    return {"monitor": b3star_monitor(model, grid.h, eps)}
+def _b3star_level(grid: Grid, bundle: Bundle) -> dict:
+    return {"monitor": b3star_monitor(bundle.noise, grid.h, bundle.material.eps)}
 
 
 class Study(NamedTuple):
     """One refinement study: a row of ``STUDIES``."""
 
-    level: Callable[..., dict]  # (grid, model, eps) -> {metric: error} on one grid
+    level: Callable[[Grid, Bundle], dict]  # {metric: error} on one grid
     fitted: tuple               # metrics that get a fitted log-log slope
     mesh: str                   # Grid attribute reported as the level's h
     levels: tuple               # default sizes n of the n x n grids
@@ -315,29 +288,26 @@ STUDIES = {
 }
 
 
-def refinement_study(kind: str, ns, Lx: float = 1.0, Ly: float = 1.0,
-                     model: NoiseModel | None = None, eps: float = 1.0) -> RateTable:
-    """Study ``kind`` on the n x n grids of (0,Lx) x (0,Ly), n in ``ns``;
-    ``model`` defaults to the default power-law noise."""
+def refinement_study(kind: str, ns, bundle: Bundle | None = None) -> RateTable:
+    """Study ``kind`` on the n x n grids, n in ``ns``, of the domain of
+    ``bundle`` (default ``assemble(Config())``), with its noise and eps.
+
+    Every level must satisfy (S): an AssumptionError is raised before any
+    level is evaluated if one does not."""
     ns = list(ns)
     if len(ns) < 3:
         raise ValueError("refinement study needs at least 3 levels")
     if kind not in STUDIES:
         raise ValueError(f"unknown refinement study {kind!r}")
     study = STUDIES[kind]
-    if model is None:
-        model = NoiseModel(PowerLawSchedule())
-    hs, rows = [], []
-    for n in ns:
-        grid = Grid(n, n, Lx, Ly)
-        hs.append(getattr(grid, study.mesh))
-        rows.append(study.level(grid, model, eps))
+    if bundle is None:
+        bundle = assemble(Config())
+    grids = [Grid(n, n, bundle.grid.Lx, bundle.grid.Ly) for n in ns]
+    for grid in grids:
+        require_fine_mesh(grid)
+    hs = [getattr(grid, study.mesh) for grid in grids]
+    rows = [study.level(grid, bundle) for grid in grids]
     errors = {m: tuple(row[m] for row in rows) for m in rows[0]}
-    return RateTable(
-        kind=kind,
-        metric_names=tuple(errors),
-        hs=tuple(hs),
-        errors=errors,
-        slopes={m: _fit_slope(hs, errs) if m in study.fitted else None
-                for m, errs in errors.items()},
-    )
+    return RateTable(hs=tuple(hs), errors=errors,
+                     slopes={m: _fit_slope(hs, errs) if m in study.fitted else None
+                             for m, errs in errors.items()})

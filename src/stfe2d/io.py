@@ -9,8 +9,8 @@ the y-index outermost.  Floats are printed with 17 significant digits, so a
 write/read round trip is bit-exact.
 
 The diagnostics CSV has the columns of ``diagnostics.DiagRecord``, in its
-field order (header written once), and the same 17-digit formatting; the
-stop flag serializes as 0/1.
+field order (the header is written when the file opens), and the same
+17-digit formatting; the stop flag serializes as 0/1.
 """
 
 from __future__ import annotations
@@ -88,16 +88,13 @@ def read_snapshot(path) -> tuple[Field, float]:
 # ---------------------------------------------------------------------------
 
 class DiagWriter:
-    """Append-only CSV file; writes the header before the first row."""
+    """Append-only CSV file; the header is written when the file opens."""
 
     def __init__(self, path):
         self._fh = open(path, "w", encoding="ascii", newline="\n")
-        self._header_written = False
+        self._fh.write(",".join(DiagRecord._fields) + "\n")
 
     def append(self, rec: DiagRecord) -> None:
-        if not self._header_written:
-            self._fh.write(",".join(DiagRecord._fields) + "\n")
-            self._header_written = True
         self._fh.write(format_row(rec) + "\n")
 
     def close(self) -> None:

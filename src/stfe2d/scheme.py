@@ -49,17 +49,24 @@ import numpy as np
 
 from . import fem
 from .grid import Field, Grid
-from .material import Material, require_positive
+from .material import AssumptionError, Material, require_positive
+
+
+def require_fine_mesh(grid: Grid) -> float:
+    """The mesh parameter h = max(hx, hy) of ``grid``; an AssumptionError
+    unless it satisfies (S), 0 < h < 1."""
+    h = grid.h
+    if not (0.0 < h < 1.0):
+        raise AssumptionError(
+            f"(S) violated: mesh parameter h = {h:g} of the {grid.nx} x {grid.ny} grid "
+            f"on ({grid.Lx:g}, {grid.Ly:g}) must be below 1 (express lengths in units "
+            "with sub-unit cells)")
+    return h
 
 
 def mesh_weight(grid: Grid, eps: float) -> float:
     """Curvature-regularization weight h^eps with h = max(hx, hy) < 1."""
-    h = grid.h
-    if not (0.0 < h < 1.0):
-        raise ValueError(
-            f"mesh parameter h = {h:g} must lie in (0, 1); express lengths in units "
-            "where the cell diameter is below one")
-    return h**eps
+    return require_fine_mesh(grid)**eps
 
 
 class EnergyParts(NamedTuple):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stfe2d.config import Config
+from stfe2d.config import Config, assemble
 from stfe2d.harness import EnsembleSummary, mc_ensemble, refinement_study
 from stfe2d.integrator import stable_dt
 from stfe2d.grid import Grid
@@ -198,6 +198,29 @@ def test_refinement_needs_three_levels():
         refinement_study("interp", [8, 16])
     with pytest.raises(ValueError, match="unknown refinement"):
         refinement_study("nope", [8, 16, 32])
+
+
+def test_refinement_study_checks_every_level_before_evaluating_any(monkeypatch):
+    from stfe2d import harness
+    from stfe2d.material import AssumptionError
+    bundle = assemble(Config(grid={"nx": 32, "ny": 32, "Lx": 10.0, "Ly": 10.0}))
+    evaluated = []
+    study = harness.STUDIES["laplacian_eig"]
+    monkeypatch.setitem(harness.STUDIES, "laplacian_eig",
+                        study._replace(level=lambda grid, b: evaluated.append(grid)))
+    # n = 16 and 32 satisfy (S) on this domain, the last level (h = 1.25) does not
+    with pytest.raises(AssumptionError, match=r"\(S\) violated: mesh parameter h = 1.25"):
+        refinement_study("laplacian_eig", [16, 32, 8], bundle)
+    assert evaluated == []
+
+
+def test_refinement_study_defaults_to_the_default_config():
+    # the unit square, the default power-law noise and eps = 1
+    from stfe2d.noise import NoiseModel, PowerLawSchedule, b3star_monitor
+    table = refinement_study("noise_b3star", [8, 16, 32])
+    assert table.hs == (0.125, 0.0625, 0.03125)
+    assert table.errors["monitor"] == tuple(
+        b3star_monitor(NoiseModel(PowerLawSchedule()), h, 1.0) for h in table.hs)
 
 
 def test_interp_rates():

@@ -108,6 +108,13 @@ def test_diag_writer_emits_header_once(tmp_path):
     assert lines[2].endswith(",1")
 
 
+def test_diag_writer_writes_the_header_when_it_opens(tmp_path):
+    path = tmp_path / "d.csv"
+    with sio.DiagWriter(path):
+        pass
+    assert path.read_text() == ",".join(DiagRecord._fields) + "\n"
+
+
 def test_diag_row_round_trip_exact(rng):
     vals = rng.standard_normal(13) * 10.0**rng.integers(-8, 8, 13)
     rec = DiagRecord(*vals, stopped=True)
@@ -584,6 +591,56 @@ def test_cli_converge_emits_rate_table(tmp_path, capsys):
     assert abs(slopes[("laplacian_eig", "eig_err_slope")] - 2.0) <= 0.05
     assert 1.85 <= slopes[("interp", "l2_slope")] <= 2.15
     assert 0.85 <= slopes[("ritz", "h1_slope")] <= 1.25
+
+
+def test_cli_converge_uses_the_config_domain_noise_and_eps(tmp_path, capsys):
+    from stfe2d.harness import STUDIES
+    from stfe2d.noise import b3star_monitor
+    path = write_config(tmp_path, name="conv.json",
+                        grid={"nx": 16, "ny": 16, "Lx": 0.8, "Ly": 1.0},
+                        noise={"lambda0": 0.2, "s": 4.5}, material={"eps": 0.8},
+                        output={"dir": str(tmp_path / "conv"), "prefix": "c"})
+    bundle = assemble(load_config(path))
+    assert cli.main(["converge", str(path)]) == cli.EXIT_OK
+    hs, b3star = {}, []
+    for line in (tmp_path / "conv" / "c_rates.csv").read_text().splitlines()[1:]:
+        study, metric, h, value = line.split(",")
+        if metric.endswith("_slope"):
+            continue
+        hs.setdefault(study, []).append(float(h))
+        if study == "noise_b3star":
+            b3star.append((float(h), float(value)))
+    for kind, study in STUDIES.items():
+        expected = [getattr(Grid(n, n, 0.8, 1.0), study.mesh) for n in study.levels]
+        n_metrics = len(hs[kind]) // len(study.levels)
+        assert hs[kind] == [h for h in expected for _ in range(n_metrics)]
+    # hx = 0.8 / n and h = 1 / n differ on this domain
+    assert hs["interp"][0] == 0.1 and hs["noise_b3star"][0] == 0.125
+    assert b3star == [(h, b3star_monitor(bundle.noise, h, bundle.material.eps))
+                      for h, _ in b3star]
+    assert b3star != [(h, b3star_monitor(NoiseModel(PowerLawSchedule()), h, 1.0))
+                      for h, _ in b3star]
+
+
+def test_cli_converge_rejects_a_level_outside_assumption_s(tmp_path, capsys):
+    # h = 0.3125 satisfies (S), but the n = 8 level of every study has h = 1.25
+    path = write_config(tmp_path, name="conv.json",
+                        grid={"nx": 32, "ny": 32, "Lx": 10.0, "Ly": 10.0},
+                        output={"dir": str(tmp_path / "conv"), "prefix": "c"})
+    assemble(load_config(path))
+    assert cli.main(["converge", str(path)]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert out.startswith("configuration rejected:")
+    assert "(S) violated: mesh parameter h = 1.25 of the 8 x 8 grid" in out
+    assert not (tmp_path / "conv").exists()
+
+
+def test_config_rejects_a_grid_outside_assumption_s():
+    with pytest.raises(ConfigError) as info:
+        assemble(Config(grid={"nx": 4, "ny": 4, "Lx": 2.0, "Ly": 8.0}))
+    assert info.value.violations == [
+        "(S) violated: mesh parameter h = 2 of the 4 x 4 grid on (2, 8) must be below 1 "
+        "(express lengths in units with sub-unit cells)"]
 
 
 def test_cli_check_failure_exit_code(monkeypatch, capsys):
