@@ -10,8 +10,8 @@ where d+/d- are forward/backward difference quotients and M_x, M_y are
 the entropy-consistent mobility means on edges.  The drift is a divergence
 of edge fluxes, so its nodal sum telescopes to zero: mass is conserved
 exactly.  The freeze at the energy threshold (the paper's chi = 0) is
-``integrator._freeze``, and ``integrator.em_step`` stops stepping a frozen
-state, so these functions evaluate the running dynamics only.
+``integrator._freeze``, and ``integrator._Loop.advance`` stops stepping a
+frozen state, so these functions evaluate the running dynamics only.
 
 The noise operator applies, for a coefficient field w in the FE space,
 
@@ -140,19 +140,21 @@ def oscillation(u: np.ndarray, east: np.ndarray, west: np.ndarray,
 # pressure, drift and the one-pass state kernel
 # ---------------------------------------------------------------------------
 
-def _pressure(lap_u: np.ndarray, df: np.ndarray, mat: Material, grid: Grid,
+def _pressure(lap_u: np.ndarray, df: np.ndarray, heps: float, grid: Grid,
               tmp: tuple) -> np.ndarray:
     """-lap_u + F'(u) + h^eps lap(lap_u), in place in ``df`` = F'(u), from
-    the Laplacian lap_u of u and four scratch arrays ``tmp``."""
+    the Laplacian lap_u of u, the weight ``heps`` = h^eps and four scratch
+    arrays ``tmp``."""
     bilap = fem.lap(lap_u, grid, tmp[0], tmp[1:])
-    bilap *= mesh_weight(grid, mat.eps)
+    bilap *= heps
     df -= lap_u
     df += bilap
     return df
 
 
 def pressure_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
-    return _pressure(fem.lap(u, grid), mat.dF(u), mat, grid, _fresh(u, 4))
+    return _pressure(fem.lap(u, grid), mat.dF(u), mesh_weight(grid, mat.eps), grid,
+                     _fresh(u, 4))
 
 
 def state_terms(u: np.ndarray, mat: Material, grid: Grid,
@@ -186,12 +188,13 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid,
     grad = np.subtract(north, u, out=t1)
     grad /= grid.hy
     e_dir = 0.5 * (e_dir + fem.inner_h(grad, grad, grid, out=grad))
-    e_curv = 0.5 * mesh_weight(grid, mat.eps) * fem.inner_h(lap_u, lap_u, grid, out=t1)
+    heps = mesh_weight(grid, mat.eps)
+    e_curv = 0.5 * heps * fem.inner_h(lap_u, lap_u, grid, out=t1)
     energy = EnergyParts(e_dir, e_pot, e_curv, e_dir + e_pot + e_curv)
     osc = oscillation(u, east, west, (t1, t2, t3))
     np.subtract(east, west, out=du_x)
     np.subtract(north, south, out=du_y)
-    _pressure(lap_u, p, mat, grid, (t1, t2, t3, drift))
+    _pressure(lap_u, p, heps, grid, (t1, t2, t3, drift))
     diss_x, diss_y = edge_fluxes(u, east, north, p, grid, drift, (lap_u, t1))
     return StateTerms(drift, energy, entropy, diss_x, diss_y, osc, du_x, du_y)
 

@@ -534,12 +534,14 @@ def test_run_evaluates_the_state_kernel_once_per_accepted_state(mat, monkeypatch
 
 
 def test_run_constants_are_computed_once(mat, monkeypatch):
-    # the base step and the threshold energy are constants of a run: the
-    # stepping loop computes them up front, not once per step
+    # the base step, the threshold energy and the buffers are constants of a
+    # run: the stepping loop sets them up once, not once per step, for a
+    # lone run, a stack and a single step
     from stfe2d import integrator
     grid = Grid(16, 16, 1.0, 1.0)
     cfg = RunConfig(t_max=25 * stable_dt(grid, mat))
-    calls = {"stable_dt": 0, "threshold_energy": 0}
+    model = NoiseModel(PowerLawSchedule(lambda0=0.1), seed=4)
+    calls = {"stable_dt": 0, "threshold_energy": 0, "Buffers": 0}
 
     def counting(owner, name):
         orig = getattr(owner, name)
@@ -551,10 +553,15 @@ def test_run_constants_are_computed_once(mat, monkeypatch):
 
     counting(integrator, "stable_dt")
     counting(diagnostics, "threshold_energy")
-    res = run(cosine_film(grid), cfg, mat, NoiseModel(PowerLawSchedule(lambda0=0.1), seed=4))
-    assert res.final.step == 25
-    assert 1 <= calls["stable_dt"] <= 2
-    assert 1 <= calls["threshold_energy"] <= 2
+    counting(scheme, "Buffers")
+    ws = NoiseWorkspace.build(model, grid, mat.eps)
+    u0 = cosine_film(grid)
+    for go, steps in ((lambda: run(u0, cfg, mat, model).final, 25),
+                      (lambda: run_replicas(u0, cfg, mat, model, [4, 5, 6])[0].final, 25),
+                      (lambda: step_em(SimState.initial(u0), cfg, mat, ws), 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert go().step == steps
+        assert calls == {"stable_dt": 1, "threshold_energy": 1, "Buffers": 1}
 
 
 @pytest.mark.parametrize("live, lambda0, floor_gap", [
@@ -564,44 +571,39 @@ def test_run_constants_are_computed_once(mat, monkeypatch):
     (np.array([True, True, True]), 10.0, 1e-5)],
     ids=["live0", "live1", "partial_acceptance"])
 def test_em_step_allocates_no_field_after_warm_up(mat, live, lambda0, floor_gap):
-    # the step writes every field into the run's buffers: ten noisy steps
-    # on 64x64 fields trace a peak below the bytes of the stepped fields,
-    # also for a stack with a replica that no longer steps, and for a
-    # stack's partial acceptance
+    # the loop's step writes every field into the run's buffers: ten noisy
+    # steps on 64x64 fields trace a peak below the bytes of the stepped
+    # fields, also for a stack with a replica that no longer steps, and for
+    # a stack's partial acceptance
     import tracemalloc
-    from stfe2d.integrator import Replicas, em_step
+    from stfe2d.integrator import _Loop
     grid = Grid(64, 64, 1.0, 1.0)
-    u0 = cosine_film(grid).values
+    u0 = cosine_film(grid)
     cfg = RunConfig(t_max=1.0) if floor_gap is None else \
-        RunConfig(t_max=1.0, u_floor=u0.min() - floor_gap)
-    lead = live.shape
+        RunConfig(t_max=1.0, u_floor=u0.values.min() - floor_gap)
     ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule(lambda0=lambda0), seed=8), grid,
-                              mat.eps, seeds=[8, 9, 10] if lead else None)
+                              mat.eps, seeds=[8, 9, 10] if live.shape else None)
     assert ws.active
-    base_dt = cfg.base_dt(grid, mat)
-    u = np.tile(u0, (*lead, 1, 1))
-    bufs = scheme.Buffers(u.shape)
-    reps = Replicas(u, np.zeros(lead), np.zeros(lead, bool), np.full(lead, np.nan),
-                    scheme.state_terms(u, mat, grid, bufs))
-    reps, _ = em_step(reps, 0, live, cfg, mat, ws, grid, base_dt, bufs)
+    loop = _Loop(SimState.initial(u0), cfg, mat, ws)
+    loop.live &= live
+    loop.advance()
     aborts, dts = {}, []
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        for step in range(1, 11):
-            t0 = reps.t
-            reps, new_aborts = em_step(reps, step, live, cfg, mat, ws, grid, base_dt, bufs)
-            aborts.update(new_aborts)
-            dts.append(reps.t - t0)
+        for _ in range(10):
+            t0 = loop.reps.t
+            aborts.update(loop.advance())
+            dts.append(loop.reps.t - t0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert not aborts
+    assert not aborts and loop.step == 11
     if floor_gap is None:
-        assert np.array_equal(reps.t, np.where(live, 11 * base_dt, 0.0))
+        assert np.array_equal(loop.reps.t, np.where(live, 11 * loop.base_dt, 0.0))
     else:  # a replica took a longer step than another: it accepted, the other redrew
         assert any(np.ptp(dt) > 0 for dt in dts)
-    assert peak < u.nbytes
+    assert peak < loop.reps.u.nbytes
 
 
 def test_run_replicas_equal_lone_runs_bit_for_bit(mat):

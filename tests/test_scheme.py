@@ -223,6 +223,20 @@ def test_kernel_on_reused_buffers_equals_fresh_calls(rng):
             assert np.array_equal(np.asarray(got), np.asarray(want))
 
 
+def test_state_kernel_computes_the_mesh_weight_once(mat, rng, grid65, monkeypatch):
+    # h^eps weights both the curvature energy and the pressure's bilaplacian
+    calls = []
+    weight = scheme.mesh_weight
+
+    def counting(*args):
+        calls.append(args)
+        return weight(*args)
+
+    monkeypatch.setattr(scheme, "mesh_weight", counting)
+    scheme.state_terms(positive_field(rng, grid65).values, mat, grid65)
+    assert len(calls) == 1
+
+
 def test_stopped_zeroes_everything(mat, rng, grid65):
     u = positive_field(rng, grid65)
     rec = diagnostics.make_record(u.values, u.grid, mat, t=0.0, stopped=True)
