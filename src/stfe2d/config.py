@@ -140,7 +140,6 @@ _TABLES = {
     "output": {"dir": _path, "prefix": _string},
 }
 _SECTIONS = {name: table.keys() for name, table in _TABLES.items()}
-_POTENTIAL_KEYS = _POTENTIAL.keys()
 
 
 def _section(name: str, values, table: dict) -> dict:

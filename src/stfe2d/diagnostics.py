@@ -26,8 +26,7 @@ def entropy_h(u: Field, mat: Material) -> float:
 def r_functional(u: Field, mat: Material, alpha: float = 1.0, kappa: float = 1.0) -> float:
     if alpha <= 0 or kappa <= 0:
         raise ValueError("alpha and kappa must be positive")
-    terms = scheme.state_terms(u.values, mat, u.grid)
-    return alpha + terms.energy.total + kappa * terms.entropy
+    return scheme.state_terms(u.values, mat, u.grid).functional(alpha, kappa)
 
 
 def threshold_energy(grid: Grid, mat: Material, e_max_C: float) -> float:
@@ -76,15 +75,15 @@ def make_record(u: np.ndarray, grid: Grid, mat: Material, t: float, stopped: boo
     parts = terms.energy
     return DiagRecord(
         t=t,
-        mass=fem.lumped_integral(u, grid),
-        u_min=float(u.min()),
+        mass=terms.mass,
+        u_min=terms.u_min,
         u_max=float(u.max()),
         E_dir=parts.dirichlet,
         E_pot=parts.potential,
         E_curv=parts.curvature,
         E_total=parts.total,
         S=terms.entropy,
-        R=alpha + parts.total + kappa * terms.entropy,
+        R=terms.functional(alpha, kappa),
         osc=terms.osc,
         diss_x=0.0 if stopped else terms.diss_x,
         diss_y=0.0 if stopped else terms.diss_y,

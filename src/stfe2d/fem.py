@@ -104,6 +104,11 @@ def node_max(values: np.ndarray):
     return _per_field(values.reshape(*values.shape[:-2], -1).max(-1))
 
 
+def node_min(values: np.ndarray):
+    """Minimum over the two grid axes, shaped like ``node_sum`` (NaN propagates)."""
+    return _per_field(values.reshape(*values.shape[:-2], -1).min(-1))
+
+
 def lumped_integral(values: np.ndarray, grid: Grid):
     """hx*hy * sum of nodal values; exact integral of the nodal interpolant."""
     return grid.cell_area * node_sum(values)

@@ -9,11 +9,12 @@ artifact, and rejection preserves the conservation and energy structure.
 
 Once the regularized energy reaches the threshold C * h^(-rho/(2+p)) the
 state freezes (pressure, drift, diffusion, and fluxes are all zeroed) and
-only the clock advances; ``_freeze`` is that stopping rule, applied to the
-start state and after every step.
+only the clock advances; ``_Loop._freeze`` is that stopping rule, applied
+to the start state and after every step.
 
 ``_Loop`` is the one stepping loop, set up once per run and advanced by
-its caller; its docstring says what it holds and who drives it.
+its caller; its attributes are the stepping state, and its docstring says
+what they are and who drives it.
 
 The base step defaults to a tenth of the explicit stability bound of the
 linearized fourth-order terms (mobility part plus h^eps curvature part);
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
-from . import diagnostics, fem, scheme
+from . import diagnostics, scheme
 from .grid import Field, Grid
 from .material import Material
 from .noise import ATTEMPT_SLOTS, NoiseModel, NoiseWorkspace
@@ -130,32 +131,6 @@ def time_slack(step, t, base_dt: float):
     return np.minimum(step * np.finfo(float).eps * t, 1e-3 * base_dt)
 
 
-class Replicas(NamedTuple):
-    """States of replicas of one configuration that step together.
-
-    ``u`` holds the nodal values, shape (*lead, ny, nx); the clocks ``t``,
-    the flags ``stopped`` and the ``stop_time`` (nan while running) have
-    shape ``lead``; ``terms`` are the kernel's ``scheme.state_terms(u)`` for
-    the stepping material.  lead = () is one trajectory.
-    """
-
-    u: np.ndarray
-    t: np.ndarray
-    stopped: np.ndarray
-    stop_time: np.ndarray
-    terms: scheme.StateTerms
-
-
-def _freeze(reps: Replicas, e_max: float) -> Replicas:
-    """The stopping rule: a running replica whose energy reaches ``e_max``
-    freezes at its clock."""
-    freeze = ~reps.stopped & (reps.terms.energy.total >= e_max)
-    if not freeze.any():
-        return reps
-    return reps._replace(stopped=reps.stopped | freeze,
-                         stop_time=np.where(freeze, reps.t, reps.stop_time))
-
-
 @dataclass
 class RunResult:
     final: SimState
@@ -175,48 +150,58 @@ class _Loop:
     threshold energy and one ``scheme.Buffers`` set, which every step writes
     its noise fields, candidate and state terms into -- and evaluates and
     freezes the start state.  The other attributes hold what a step changes:
-    the replicas ``reps``, the step index ``step`` and each replica's
-    ``steps``, the mask ``live`` of the replicas that have neither reached
-    the horizon (up to ``time_slack``) nor aborted, the ``aborts`` so far,
-    and each replica's running monitors (sup R, sup of the oscillation ratio
-    before stopping, the trapezoidal dissipation integral and its last
-    integrand, the worst mass drift).  ``run_replicas`` advances it until no replica is
-    live; ``run`` advances one seed and emits the records, the snapshots
-    and the abort after each step; ``step_em`` advances it once.  Each
-    replica's draws are a pure function of (seed, component, k, l, step,
-    attempt), so a replica in a stack reproduces its lone run bit for bit.
+    the nodal values ``u``, shape (*lead, ny, nx); per replica, of shape
+    lead, the clock ``t``, the flag ``stopped`` and the ``stop_time`` (nan
+    while running); the kernel's ``terms`` of ``u``; the step index ``step``
+    and each replica's ``steps``; the mask ``live`` of the replicas that
+    have neither reached the horizon (up to ``time_slack``) nor aborted; the
+    ``aborts`` so far; and each replica's running monitors (sup R, sup of the
+    oscillation ratio before stopping, the trapezoidal dissipation integral
+    and its last integrand, the worst mass drift from ``terms.mass``).
+    ``run_replicas`` advances it until no replica is live; ``run`` advances
+    one seed and emits the records, the snapshots and the abort after each
+    step; ``step_em`` advances it once.  Each replica's draws are a pure
+    function of (seed, component, k, l, step, attempt), so a replica in a
+    stack reproduces its lone run bit for bit.
     """
 
     def __init__(self, start: SimState, cfg: RunConfig, mat: Material, ws: NoiseWorkspace):
         self.cfg, self.mat, self.ws = cfg, mat, ws
         self.grid, self.mass0, lead = start.u.grid, start.initial_mass, ws.keys.shape[:-2]
-        u = np.tile(start.u.values, (*lead, 1, 1))
+        self.u = np.tile(start.u.values, (*lead, 1, 1))
         self.base_dt = cfg.base_dt(self.grid, mat)
         self.e_max = diagnostics.threshold_energy(self.grid, mat, cfg.e_max_C)
-        self.bufs = scheme.Buffers(u.shape)
-        stop_time = np.nan if start.stop_time is None else start.stop_time
-        self.reps = _freeze(Replicas(u, np.full(lead, start.t), np.full(lead, start.stopped),
-                                     np.full(lead, stop_time),
-                                     scheme.state_terms(u, mat, self.grid, self.bufs)), self.e_max)
-        terms = self.reps.terms
+        self.bufs = scheme.Buffers(self.u.shape)
+        self.t, self.stopped = np.full(lead, start.t), np.full(lead, start.stopped)
+        self.stop_time = np.full(lead, np.nan if start.stop_time is None else start.stop_time)
+        self.terms = terms = scheme.state_terms(self.u, mat, self.grid, self.bufs)
+        self._freeze()
         self.step, self.steps = start.step, np.full(lead, start.step)
-        self.sup_R = np.asarray(cfg.alpha + terms.energy.total + cfg.kappa * terms.entropy)
+        self.sup_R = np.asarray(terms.functional(cfg.alpha, cfg.kappa))
         self.sup_osc = np.asarray(terms.osc)
-        self.diss_prev = np.where(self.reps.stopped, 0.0, terms.diss_x + terms.diss_y)
+        self.diss_prev = np.where(self.stopped, 0.0, terms.diss_x + terms.diss_y)
         self.diss_integral, self.max_drift = np.zeros(lead), np.zeros(lead)
         self.aborts = {}
         # a mask that takes item assignment, also for lead ()
         self.live = np.array(~self.reached(cfg.t_max))
 
+    def _freeze(self):
+        """The stopping rule: a running replica whose energy reaches the
+        threshold freezes at its clock."""
+        freeze = ~self.stopped & (self.terms.energy.total >= self.e_max)
+        if freeze.any():
+            self.stopped = self.stopped | freeze
+            self.stop_time = np.where(freeze, self.t, self.stop_time)
+
     def reached(self, target):
         """Whether each clock has reached ``target`` up to its rounding."""
-        return self.reps.t >= target - time_slack(self.steps, self.reps.t, self.base_dt)
+        return self.t >= target - time_slack(self.steps, self.t, self.base_dt)
 
     def state(self, idx: tuple) -> SimState:
         """The SimState of replica ``idx`` (idx = () for one seed)."""
-        reps, stop_time = self.reps, float(self.reps.stop_time[idx])
-        return SimState(u=Field(self.grid, reps.u[idx]), t=float(reps.t[idx]),
-                        step=int(self.steps[idx]), stopped=bool(reps.stopped[idx]),
+        stop_time = float(self.stop_time[idx])
+        return SimState(u=Field(self.grid, self.u[idx]), t=float(self.t[idx]),
+                        step=int(self.steps[idx]), stopped=bool(self.stopped[idx]),
                         stop_time=None if math.isnan(stop_time) else stop_time,
                         initial_mass=self.mass0)
 
@@ -231,7 +216,7 @@ class _Loop:
         are not live, and those that abort, keep their state and monitors.
         The new state's field stays valid through the next step, and its
         terms until the next evaluation; a stack's partial acceptance copies
-        the accepted states into ``reps.u`` in place.
+        the accepted states into ``u`` in place.
 
         The fast paths -- every replica pending and accepting, none stopped,
         every replica live -- skip masked updates whose mask selects every
@@ -239,19 +224,16 @@ class _Loop:
         ``traj-n32-diag`` p95 step 10-19% slower on a 2-core VM (0.48 ->
         0.54, 0.55 -> 0.60 and 0.49 -> 0.58 ms in three pairs of 10 s runs).
         """
-        cfg, grid, ws, bufs, reps, live, step = (self.cfg, self.grid, self.ws, self.bufs,
-                                                 self.reps, self.live, self.step)
-        dt_full = np.minimum(self.base_dt, cfg.t_max - reps.t)
+        cfg, ws, bufs, live, step = self.cfg, self.ws, self.bufs, self.live, self.step
+        grid, terms, stopped, u, prev_t = self.grid, self.terms, self.stopped, self.u, self.t
+        dt_full = np.minimum(self.base_dt, cfg.t_max - prev_t)
         # a replica at the horizon is not live: it draws with a step it does not take
         dt_full = np.where(dt_full > 0.0, dt_full, self.base_dt)
 
-        terms, stopped = reps.terms, reps.stopped
         pending = live & ~stopped
-        t = reps.t
-        if stopped.any():  # a frozen live replica advances its clock
-            t = np.where(live & stopped, reps.t + dt_full, t)
+        # a frozen live replica advances its clock
+        t = np.where(live & stopped, prev_t + dt_full, prev_t) if stopped.any() else prev_t
 
-        u = reps.u
         cand = bufs.free_field(u)
         w_out, (base, zy, tmp) = bufs.noise, bufs.scratch[2:5]
         moved = False
@@ -274,11 +256,11 @@ class _Loop:
                     aborts[idx] = OverflowAbort(step)
             accept = pending & finite & (cand > cfg.u_floor).all(axis=(-2, -1))
             if accept.all():  # every replica was pending and accepts
-                u, t, moved = cand, reps.t + dt_try, accept
+                u, t, moved = cand, prev_t + dt_try, accept
                 break
             pending = pending & finite & ~accept
             if accept.any():  # a stack's partial acceptance: the accepted states leave cand
-                t = np.where(accept, reps.t + dt_try, t)
+                t = np.where(accept, prev_t + dt_try, t)
                 moved = moved | accept
                 np.copyto(u, cand, where=accept[..., None, None])
         else:
@@ -290,17 +272,18 @@ class _Loop:
 
         if np.asarray(moved).any():
             terms = scheme.state_terms(u, self.mat, grid, bufs)
-        prev_t = reps.t
-        self.reps = reps = _freeze(reps._replace(u=u, t=t, terms=terms), self.e_max)
+        self.u, self.t, self.terms = u, t, terms
+        self._freeze()
         self.aborts.update(aborts)
         for idx in aborts:
             live[idx] = False
         self.step = step = step + 1
-        all_live, any_stopped = live.all(), reps.stopped.any()
+        stopped = self.stopped
+        all_live, any_stopped = live.all(), stopped.any()
         diss_now = terms.diss_x + terms.diss_y
         if any_stopped:
-            diss_now = np.where(reps.stopped, 0.0, diss_now)
-        diss_step = self.diss_integral + 0.5 * (self.diss_prev + diss_now) * (reps.t - prev_t)
+            diss_now = np.where(stopped, 0.0, diss_now)
+        diss_step = self.diss_integral + 0.5 * (self.diss_prev + diss_now) * (t - prev_t)
         if all_live:
             self.steps[...] = step
             self.diss_integral = diss_step
@@ -308,11 +291,10 @@ class _Loop:
             self.steps = np.where(live, step, self.steps)
             self.diss_integral = np.where(live, diss_step, self.diss_integral)
         self.diss_prev = diss_now
-        self.sup_R = np.maximum(self.sup_R, cfg.alpha + terms.energy.total
-                                + cfg.kappa * terms.entropy)
+        self.sup_R = np.maximum(self.sup_R, terms.functional(cfg.alpha, cfg.kappa))
         osc = np.maximum(self.sup_osc, terms.osc)
-        self.sup_osc = np.where(reps.stopped, self.sup_osc, osc) if any_stopped else osc
-        drift = np.abs(fem.lumped_integral(reps.u, grid) - self.mass0) / abs(self.mass0)
+        self.sup_osc = np.where(stopped, self.sup_osc, osc) if any_stopped else osc
+        drift = np.abs(terms.mass - self.mass0) / abs(self.mass0)
         self.max_drift = np.maximum(self.max_drift, drift)
         live &= ~self.reached(cfg.t_max)
         return aborts
@@ -361,10 +343,9 @@ def run(u0: Field, cfg: RunConfig, mat: Material, model: NoiseModel,
     def emit(loop, aborts):
         if aborts:
             raise aborts[()]
-        reps = loop.reps
         if loop.step % cfg.diag_interval == 0 or not loop.live:
-            rec = diagnostics.make_record(reps.u, grid, mat, float(reps.t), bool(reps.stopped),
-                                          cfg.alpha, cfg.kappa, terms=reps.terms)
+            rec = diagnostics.make_record(loop.u, grid, mat, float(loop.t), bool(loop.stopped),
+                                          cfg.alpha, cfg.kappa, terms=loop.terms)
             records.append(rec)
             if diag_cb is not None:
                 diag_cb(rec)

@@ -10,8 +10,8 @@ where d+/d- are forward/backward difference quotients and M_x, M_y are
 the entropy-consistent mobility means on edges.  The drift is a divergence
 of edge fluxes, so its nodal sum telescopes to zero: mass is conserved
 exactly.  The freeze at the energy threshold (the paper's chi = 0) is
-``integrator._freeze``, and ``integrator._Loop.advance`` stops stepping a
-frozen state, so these functions evaluate the running dynamics only.
+``integrator._Loop._freeze``, and ``_Loop.advance`` stops stepping a frozen
+state, so these functions evaluate the running dynamics only.
 
 The noise operator applies, for a coefficient field w in the FE space,
 
@@ -27,8 +27,8 @@ linear in w, so a whole mode sum can be applied through the accumulated
 noise fields w_x, w_y at once, and its nodal sum also telescopes to zero.
 
 ``state_terms`` is the one-pass kernel the integrator calls once per
-accepted state: drift, energy parts, entropy, dissipation and oscillation
-ratio from one set of periodic neighbor arrays.  ``drift_values``,
+accepted state: drift, energy parts, entropy, dissipation, oscillation
+ratio, mass and minimum from one set of periodic neighbor arrays.  ``drift_values``,
 ``dissipation``, ``diagnostics.energy_h`` and ``diagnostics.r_functional``
 read their values from one kernel call.  The kernel writes every field
 into a ``Buffers`` set, which a run allocates once, so a step allocates no
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import fem
 from .grid import Field, Grid
-from .material import AssumptionError, Material, require_positive
+from .material import AssumptionError, Material, PositivityError
 
 
 def require_fine_mesh(grid: Grid) -> float:
@@ -88,6 +88,12 @@ class StateTerms(NamedTuple):
     osc: float             # largest u(center)/u(neighbor) over 3x3 neighborhoods
     du_x: np.ndarray       # u_east - u_west, reused by the noise operator
     du_y: np.ndarray       # u_north - u_south
+    mass: float            # lumped integral of u
+    u_min: float
+
+    def functional(self, alpha: float, kappa: float):
+        """The combined functional R = alpha + E + kappa * S."""
+        return alpha + self.energy.total + kappa * self.entropy
 
 
 class Buffers:
@@ -159,7 +165,7 @@ def pressure_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
 
 def state_terms(u: np.ndarray, mat: Material, grid: Grid,
                 out: Buffers | None = None) -> StateTerms:
-    """Drift, energy parts, entropy, dissipation and oscillation of one state.
+    """Drift, energy parts, entropy, dissipation, oscillation, mass and min of one state.
 
     The Laplacian, the pressure and the periodic neighbors of u are each
     formed once and shared.  Every field is written into ``out`` (a fresh
@@ -168,7 +174,10 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid,
     """
     if out is None:
         out = Buffers(u.shape)
-    require_positive(u, "state_terms")  # the one scan: no division by u comes before it
+    u_min = fem.node_min(u)  # the one scan, which NaN fails: no division by u comes before it
+    if not np.all(u_min > 0.0):
+        raise PositivityError(
+            f"state_terms requires strictly positive values (min = {np.min(u_min):g})")
     drift, du_x, du_y = out.slot
     east, north, lap_u, p, t1, t2, t3 = out.scratch
     # F is summed at once and F' kept for the pressure; the drift slot is
@@ -196,7 +205,8 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid,
     np.subtract(north, south, out=du_y)
     _pressure(lap_u, p, heps, grid, (t1, t2, t3, drift))
     diss_x, diss_y = edge_fluxes(u, east, north, p, grid, drift, (lap_u, t1))
-    return StateTerms(drift, energy, entropy, diss_x, diss_y, osc, du_x, du_y)
+    return StateTerms(drift, energy, entropy, diss_x, diss_y, osc, du_x, du_y,
+                      fem.lumped_integral(u, grid), u_min)
 
 
 def edge_fluxes(u: np.ndarray, east: np.ndarray, north: np.ndarray, p: np.ndarray,

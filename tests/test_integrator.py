@@ -564,6 +564,29 @@ def test_run_constants_are_computed_once(mat, monkeypatch):
         assert calls == {"stable_dt": 1, "threshold_energy": 1, "Buffers": 1}
 
 
+def test_run_sums_the_mass_of_each_accepted_state_once(mat, monkeypatch):
+    # the kernel's sum of the stepped field is the mass that the drift
+    # monitor and the record read: between two records (diag_interval 1)
+    # the field is summed once
+    from stfe2d import fem
+    grid = Grid(8, 8, 1.0, 1.0)
+    sums, marks = [], []
+    lumped = fem.lumped_integral
+
+    def counting(values, g):
+        total = lumped(values, g)
+        sums.append((float(values.min()), float(values.max()), total))
+        return total
+
+    monkeypatch.setattr(fem, "lumped_integral", counting)
+    cfg = RunConfig(t_max=10 * stable_dt(grid, mat), diag_interval=1)
+    result = run(cosine_film(grid), cfg, mat, NoiseModel(PowerLawSchedule(lambda0=5.0), seed=3),
+                 diag_cb=lambda rec: marks.append(len(sums)))
+    assert len(result.records) == len(marks) == 11
+    for rec, start, end in zip(result.records[1:], marks, marks[1:]):
+        assert sums[start:end].count((rec.u_min, rec.u_max, rec.mass)) == 1
+
+
 @pytest.mark.parametrize("live, lambda0, floor_gap", [
     (np.True_, 0.1, None), (np.array([True, False, True]), 0.1, None),
     # strong noise and a floor just below min u0: the replicas accept at
@@ -592,18 +615,18 @@ def test_em_step_allocates_no_field_after_warm_up(mat, live, lambda0, floor_gap)
     try:
         start = tracemalloc.get_traced_memory()[0]
         for _ in range(10):
-            t0 = loop.reps.t
+            t0 = loop.t
             aborts.update(loop.advance())
-            dts.append(loop.reps.t - t0)
+            dts.append(loop.t - t0)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert not aborts and loop.step == 11
     if floor_gap is None:
-        assert np.array_equal(loop.reps.t, np.where(live, 11 * loop.base_dt, 0.0))
+        assert np.array_equal(loop.t, np.where(live, 11 * loop.base_dt, 0.0))
     else:  # a replica took a longer step than another: it accepted, the other redrew
         assert any(np.ptp(dt) > 0 for dt in dts)
-    assert peak < loop.reps.u.nbytes
+    assert peak < loop.u.nbytes
 
 
 def test_run_replicas_equal_lone_runs_bit_for_bit(mat):

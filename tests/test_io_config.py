@@ -471,7 +471,7 @@ _ANY = _json(st.integers(-2**70, 2**70) | st.floats(allow_nan=False, allow_infin
 _SMALL = _json(st.integers(-2**70, 64) | st.floats(max_value=64.0, allow_nan=False,
                                                    allow_infinity=False))
 _KEYS = [(section, key) for section, keys in config._SECTIONS.items() for key in sorted(keys)]
-_KEYS += [("material.potential", key) for key in sorted(config._POTENTIAL_KEYS)]
+_KEYS += [("material.potential", key) for key in sorted(config._POTENTIAL.keys())]
 _VALUES = {
     ("grid", "nx"): _SMALL, ("grid", "ny"): _SMALL, ("noise", "mode_cap"): _SMALL,
     ("noise", "table"): st.dictionaries(
@@ -480,7 +480,7 @@ _VALUES = {
     ("initial", "path"): st.sampled_from(_SNAPSHOTS)
     | st.text(max_size=8).filter(lambda s: "/" not in s) | _ANY,
     ("material", "potential"): st.dictionaries(
-        st.sampled_from(sorted(config._POTENTIAL_KEYS)) | st.text(max_size=4), _ANY,
+        st.sampled_from(sorted(config._POTENTIAL.keys())) | st.text(max_size=4), _ANY,
         max_size=3) | _ANY,
 }
 # the schedule and the initial kind that read the key under test

@@ -51,6 +51,16 @@ def test_mobility_rejects_nonpositive(mat, grid44):
         edge_means(mobility_mean, v)
     with pytest.raises(PositivityError):
         scheme.state_terms(v, mat, grid44)
+    # the kernel's one scan is per replica: a zero or a NaN node of one
+    # replica in a stack fails it
+    stack = np.ones((3, 4, 4))
+    stack[1, 2, 3] = 0.0
+    with pytest.raises(PositivityError, match=r"^state_terms requires strictly positive "
+                                              r"values \(min = 0\)$"):
+        scheme.state_terms(stack, mat, grid44)
+    stack[1, 2, 3] = np.nan
+    with pytest.raises(PositivityError, match=r"\(min = nan\)$"):
+        scheme.state_terms(stack, mat, grid44)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +192,7 @@ def test_state_kernel_equals_the_separate_views(rng, strat_shift):
     assert np.array_equal(terms.drift, drift)
     assert (tuple(terms.energy), terms.entropy, (terms.diss_x, terms.diss_y), terms.osc) == \
         (energy, entropy, diss, osc)
+    assert (terms.mass, terms.u_min) == (diagnostics.mass(u), u.values.min())
     assert np.array_equal(scheme.drift_values(u.values, mat, grid), drift)
     assert scheme.dissipation(u, mat) == diss
     assert tuple(diagnostics.energy_h(u, mat)) == energy
@@ -206,6 +217,8 @@ def test_stacked_kernel_and_noise_equal_each_field(rng):
         assert tuple(e[r] for e in terms.energy) == lone.energy
         assert (terms.entropy[r], terms.diss_x[r], terms.diss_y[r], terms.osc[r]) == \
             (lone.entropy, lone.diss_x, lone.diss_y, lone.osc)
+        assert (terms.mass[r], terms.u_min[r]) == (lone.mass, lone.u_min) == \
+            (diagnostics.mass(Field(grid, u)), u.min())
         assert np.array_equal(noise[r], scheme.diffusion_values(u, grid, w[0, r], w[1, r]))
 
 

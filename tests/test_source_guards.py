@@ -57,6 +57,26 @@ def test_no_module_reads_the_process_environment():
     assert found == []
 
 
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one run-time dependency in pyproject.toml; scipy, pytest
+    # and hypothesis are for the tests alone
+    import sys
+    allowed = set(sys.stdlib_module_names) | {"numpy", "stfe2d"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
+    assert len(list(SRC.glob("*.py"))) > 1
+    assert found == []
+
+
 def test_noise_workspace_build_has_no_python_loop():
     # the workspace is built from whole arrays; a loop or comprehension over
     # the modes or the seeds would cost milliseconds per run at n = 128
@@ -87,7 +107,7 @@ def test_config_sections_reach_every_constructor_argument():
 
     assert config._SECTIONS["run"] == init_fields(RunConfig)
     assert config._SECTIONS["grid"] == init_fields(Grid)
-    assert config._POTENTIAL_KEYS == init_fields(PowerPairPotential) | {"kind"}
+    assert config._POTENTIAL.keys() == init_fields(PowerPairPotential) | {"kind"}
     assert config._SECTIONS["noise"] >= init_fields(NoiseModel) - {"schedule"}
 
 
