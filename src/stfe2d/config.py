@@ -29,7 +29,7 @@ from .noise import NoiseModel, PowerLawSchedule, TableSchedule, strat_constant
 from .scheme import require_fine_mesh
 
 
-#: 128 MiB per field; a run holds about 13 field-sized arrays
+#: 128 MiB per field; a run holds about 11 field-sized arrays
 MAX_GRID_NODES = 2**24
 
 

@@ -50,21 +50,14 @@ def second_difference(ahead: np.ndarray, centre: np.ndarray, behind: np.ndarray,
     return out
 
 
-def dqx_plus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """(f[i+1,j] - f[i,j]) / hx with periodic wrap; lives on x-edge (i+1/2, j)."""
-    return (shift(values, -1, -1) - values) / grid.hx
+def dq_plus(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    """(f[i+1] - f[i]) / h along ``axis`` (-1: x, -2: y) with periodic wrap;
+    lives on the edge (i+1/2) in that direction."""
+    return (shift(values, -1, axis) - values) / (grid.hx if axis == -1 else grid.hy)
 
 
-def dqx_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (values - shift(values, 1, -1)) / grid.hx
-
-
-def dqy_plus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (shift(values, -1, -2) - values) / grid.hy
-
-
-def dqy_minus(values: np.ndarray, grid: Grid) -> np.ndarray:
-    return (values - shift(values, 1, -2)) / grid.hy
+def dq_minus(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
+    return (values - shift(values, 1, axis)) / (grid.hx if axis == -1 else grid.hy)
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +116,16 @@ def inner_h(a: np.ndarray, b: np.ndarray, grid: Grid, out: np.ndarray | None = N
 # directional Dirichlet forms
 # ---------------------------------------------------------------------------
 
-def dirichlet_x(f: np.ndarray, g: np.ndarray, grid: Grid,
-                edge_weight: np.ndarray | None = None) -> float:
-    """Lumped-in-y exact-in-x form: hx*hy * sum_edges w * dqx+(f) * dqx+(g).
+def dirichlet(f: np.ndarray, g: np.ndarray, grid: Grid, axis: int,
+              edge_weight: np.ndarray | None = None) -> float:
+    """Lumped-transverse, exact-along-``axis`` form:
+    hx*hy * sum_edges w * dq+(f) * dq+(g).
 
-    ``edge_weight`` holds edge-centered coefficients (entry [j, i] attached
-    to the x-edge between nodes i and i+1 at row j); None means w = 1.
+    ``edge_weight`` holds edge-centered coefficients (for axis -1, entry
+    [j, i] is attached to the x-edge between nodes i and i+1 at row j);
+    None means w = 1.
     """
-    prod = dqx_plus(f, grid) * dqx_plus(g, grid)
-    if edge_weight is not None:
-        prod = edge_weight * prod
-    return grid.cell_area * float(prod.sum())
-
-
-def dirichlet_y(f: np.ndarray, g: np.ndarray, grid: Grid,
-                edge_weight: np.ndarray | None = None) -> float:
-    prod = dqy_plus(f, grid) * dqy_plus(g, grid)
+    prod = dq_plus(f, grid, axis) * dq_plus(g, grid, axis)
     if edge_weight is not None:
         prod = edge_weight * prod
     return grid.cell_area * float(prod.sum())
@@ -148,12 +135,9 @@ def dirichlet_y(f: np.ndarray, g: np.ndarray, grid: Grid,
 # Ritz projection
 # ---------------------------------------------------------------------------
 
-_GAUSS_N = 8
-
-
-def _gauss_rule(h: float):
-    """Gauss-Legendre points and weights on (0, h)."""
-    t, w = np.polynomial.legendre.leggauss(_GAUSS_N)
+def gauss_rule(n: int = 8, h: float = 1.0):
+    """The n-point Gauss-Legendre points and weights on (0, h)."""
+    t, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * h * (t + 1.0), 0.5 * h * w
 
 
@@ -173,8 +157,8 @@ def _ritz_rhs(grid: Grid, f) -> np.ndarray:
     """
     x, y = grid.node_coords()
     hx, hy = grid.hx, grid.hy
-    tx, wx = _gauss_rule(hx)
-    ty, wy = _gauss_rule(hy)
+    tx, wx = gauss_rule(h=hx)
+    ty, wy = gauss_rule(h=hy)
 
     def line_loads(vals, t, w, h, axis):
         # hat integrals of f along each element (last axis: Gauss points),
@@ -188,8 +172,8 @@ def _ritz_rhs(grid: Grid, f) -> np.ndarray:
 
     # x-part: f on the vertical lines x = x_i at the Gauss points of each
     # y-element; y-part mirrored on the horizontal lines y = y_j
-    fx = np.broadcast_to(f(x[..., None], y[..., None] + ty), (grid.ny, grid.nx, _GAUSS_N))
-    fy = np.broadcast_to(f(x[..., None] + tx, y[..., None]), (grid.ny, grid.nx, _GAUSS_N))
+    fx = np.broadcast_to(f(x[..., None], y[..., None] + ty), (grid.ny, grid.nx, len(ty)))
+    fy = np.broadcast_to(f(x[..., None] + tx, y[..., None]), (grid.ny, grid.nx, len(tx)))
     b = telescope(line_loads(fx, ty, wy, hy, -2), hx, -1)
     b += telescope(line_loads(fy, tx, wx, hx, -1), hy, -2)
     return b
@@ -201,12 +185,12 @@ def integrate_function(grid: Grid, f) -> float:
     ``f(x, y)`` is called once on broadcastable coordinate arrays holding
     the Gauss points of every cell, so it must act elementwise on arrays.
     """
-    tx, wx = _gauss_rule(grid.hx)
-    ty, wy = _gauss_rule(grid.hy)
+    tx, wx = gauss_rule(h=grid.hx)
+    ty, wy = gauss_rule(h=grid.hy)
     x, y = grid.node_coords()
     # axes (cell row, y point, cell column, x point)
     vals = np.broadcast_to(f((x[..., None] + tx)[:, None], (y + ty)[..., None, None]),
-                           (grid.ny, _GAUSS_N, grid.nx, _GAUSS_N))
+                           (grid.ny, len(ty), grid.nx, len(tx)))
     return float(np.einsum("jqir,q,r->", vals, wy, wx))
 
 

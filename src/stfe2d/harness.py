@@ -192,11 +192,6 @@ def _fit_slope(hs, errs) -> float:
     return float(np.polyfit(np.log(np.asarray(hs)), np.log(np.asarray(errs)), 1)[0])
 
 
-def _gauss01(n):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
 def _bilinear(vals: np.ndarray, ga, gb):
     """The bilinear interpolant of nodal ``vals`` and its derivatives in the
     cell coordinates a and b, on every cell at the points (a, b) of
@@ -227,7 +222,7 @@ def _interp_level(grid: Grid, bundle: Bundle) -> dict:
     x, y = grid.node_coords()
     f = np.sin(2 * np.pi * x / grid.Lx) * np.cos(2 * np.pi * y / grid.Ly) + 2.0
     g = np.cos(4 * np.pi * x / grid.Lx) * np.sin(2 * np.pi * y / grid.Ly) + 3.0
-    ga, wa = _gauss01(4)
+    ga, wa = fem.gauss_rule(4)
     fv, dfa, _ = _bilinear(f, ga, ga)
     gv, dga, _ = _bilinear(g, ga, ga)
 
@@ -258,7 +253,7 @@ def _ritz_level(grid: Grid, bundle: Bundle) -> dict:
     def f(x, y):
         return np.sin(2 * np.pi * x / grid.Lx) + 0.0 * y
 
-    ga, wa = _gauss01(6)
+    ga, wa = fem.gauss_rule(6)
     pv, dpa, dpb = _bilinear(fem.ritz_projection(grid, f).values, ga, ga)
     x = (np.arange(grid.nx)[:, None, None] + ga) * grid.hx
     y = (np.arange(grid.ny)[:, None, None, None] + ga[:, None]) * grid.hy

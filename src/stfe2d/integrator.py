@@ -99,6 +99,8 @@ class RunConfig:
             raise ValueError("diag_interval must be >= 1")
         if not all(math.isfinite(t) and t >= 0 for t in self.snapshot_times):
             raise ValueError("snapshot times must be finite and nonnegative")
+        if any(t > self.t_max for t in self.snapshot_times):  # run would drop them
+            raise ValueError(f"snapshot times must not exceed t_max = {self.t_max:g}")
 
     def base_dt(self, grid: Grid, mat: Material) -> float:
         return self.dt if self.dt is not None else stable_dt(grid, mat)
@@ -214,9 +216,9 @@ class _Loop:
         others try the full step and, while the update is not finite and
         above the floor, halve it and redraw at attempt + 1.  Replicas that
         are not live, and those that abort, keep their state and monitors.
-        The new state's field stays valid through the next step, and its
-        terms until the next evaluation; a stack's partial acceptance copies
-        the accepted states into ``u`` in place.
+        ``u`` is one array for the run: an accepted candidate, built in
+        ``Buffers.cand``, is copied into it (per replica in a stack's partial
+        acceptance), and the new state's terms stay valid until the next evaluation.
 
         The fast paths -- every replica pending and accepting, none stopped,
         every replica live -- skip masked updates whose mask selects every
@@ -234,8 +236,7 @@ class _Loop:
         # a frozen live replica advances its clock
         t = np.where(live & stopped, prev_t + dt_full, prev_t) if stopped.any() else prev_t
 
-        cand = bufs.free_field(u)
-        w_out, (base, zy, tmp) = bufs.noise, bufs.scratch[2:5]
+        cand, w_out, (base, zy, tmp) = bufs.cand, bufs.noise, bufs.scratch[2:5]
         moved = False
         aborts = {}
         dt_try = dt_full
@@ -256,7 +257,8 @@ class _Loop:
                     aborts[idx] = OverflowAbort(step)
             accept = pending & finite & (cand > cfg.u_floor).all(axis=(-2, -1))
             if accept.all():  # every replica was pending and accepts
-                u, t, moved = cand, prev_t + dt_try, accept
+                np.copyto(u, cand)
+                t, moved = prev_t + dt_try, accept
                 break
             pending = pending & finite & ~accept
             if accept.any():  # a stack's partial acceptance: the accepted states leave cand
@@ -272,7 +274,7 @@ class _Loop:
 
         if np.asarray(moved).any():
             terms = scheme.state_terms(u, self.mat, grid, bufs)
-        self.u, self.t, self.terms = u, t, terms
+        self.t, self.terms = t, terms
         self._freeze()
         self.aborts.update(aborts)
         for idx in aborts:

@@ -376,11 +376,11 @@ def ibp_residuals_1d(h: float, a: np.ndarray, b: np.ndarray, c: np.ndarray,
 def chain_rule_residual(u: np.ndarray, grid: Grid) -> float:
     """Per-edge relative residual of the discrete chain rule for f(s) = s^2:
     the x-difference quotient of u^2 must equal (a + b) times that of u."""
-    dq_sq = fem.dqx_plus(u**2, grid)
+    dq_sq = fem.dq_plus(u**2, grid, -1)
     mean_fp = u + np.roll(u, -1, axis=1)  # average of f'(s) = 2s over [a, b]
-    rhs = mean_fp * fem.dqx_plus(u, grid)
-    dq_sq_y = fem.dqy_plus(u**2, grid)
-    rhs_y = (u + np.roll(u, -1, axis=0)) * fem.dqy_plus(u, grid)
+    rhs = mean_fp * fem.dq_plus(u, grid, -1)
+    dq_sq_y = fem.dq_plus(u**2, grid, -2)
+    rhs_y = (u + np.roll(u, -1, axis=0)) * fem.dq_plus(u, grid, -2)
     scale = max(float(np.abs(dq_sq).max()), float(np.abs(dq_sq_y).max()), 1e-30)
     rx = float(np.abs(dq_sq - rhs).max())
     ry = float(np.abs(dq_sq_y - rhs_y).max())
@@ -442,8 +442,8 @@ def run_checks(seed: int = 0, n_fields: int = 100) -> list[CheckResult]:
             worst_d = max(worst_d, dense_drift_residual(u, mat))
             for (k, l), (tx, ty) in tables.items():
                 w = basis_eval(k, l, grid).values
-                fx = scheme.z_apply_x(u.values, w, grid).ravel()
-                fy = scheme.z_apply_y(u.values, w, grid).ravel()
+                fx = scheme.z_apply(u.values, w, grid, -1).ravel()
+                fy = scheme.z_apply(u.values, w, grid, -2).ravel()
                 worst_z = max(worst_z,
                               float(np.abs(fx - tx @ u.values.ravel()).max()),
                               float(np.abs(fy - ty @ u.values.ravel()).max()))

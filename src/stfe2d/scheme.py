@@ -103,8 +103,10 @@ class Buffers:
     ``scratch`` holds the kernel's and the noise increment's work arrays;
     ``state_terms`` writes the output fields (drift, du_x, du_y) into the
     one ``slot``, so a state's terms stay valid until the next state is
-    evaluated on the same buffers; the Euler-Maruyama candidate is built in
-    whichever of the two ``fields`` does not hold the current state.
+    evaluated on the same buffers.  The Euler-Maruyama candidate is built in
+    ``cand``, a scratch field that neither the noise fields (``scratch[0:2]``)
+    nor the increment (``scratch[2:5]``) use and that only the kernel
+    overwrites, after the candidate has been accepted into the state.
     """
 
     SCRATCH = 7
@@ -114,12 +116,8 @@ class Buffers:
         self.scratch = tuple(block)
         # the first two scratch fields in the noise fields' (*lead, 2, ny, nx) layout
         self.noise = np.moveaxis(block[:2], 0, -3)
-        self.fields = tuple(np.empty((2, *shape)))
+        self.cand = self.scratch[5]
         self.slot = tuple(np.empty((3, *shape)))
-
-    def free_field(self, u: np.ndarray) -> np.ndarray:
-        """The candidate field that is not ``u``."""
-        return self.fields[u is self.fields[0]]
 
 
 def _fresh(like: np.ndarray, n: int) -> tuple:
@@ -259,16 +257,12 @@ def _z_apply(u: np.ndarray, w: np.ndarray, du: np.ndarray | None, axis: int,
     return out
 
 
-def z_apply_x(u: np.ndarray, w: np.ndarray, grid: Grid,
-              du: np.ndarray | None = None) -> np.ndarray:
-    """Nodal action of the x-noise operator for coefficient field w; ``du``
-    is u_east - u_west when the caller has it (``StateTerms.du_x``)."""
-    return _z_apply(u, w, du, -1, grid.hx, *_fresh(u, 2))
-
-
-def z_apply_y(u: np.ndarray, w: np.ndarray, grid: Grid,
-              du: np.ndarray | None = None) -> np.ndarray:
-    return _z_apply(u, w, du, -2, grid.hy, *_fresh(u, 2))
+def z_apply(u: np.ndarray, w: np.ndarray, grid: Grid, axis: int,
+            du: np.ndarray | None = None) -> np.ndarray:
+    """Nodal action of the noise operator along ``axis`` (-1: x, -2: y) for
+    coefficient field w; ``du`` is u's ahead-minus-behind neighbor difference
+    when the caller has it (``StateTerms.du_x`` or ``du_y``)."""
+    return _z_apply(u, w, du, axis, grid.hx if axis == -1 else grid.hy, *_fresh(u, 2))
 
 
 def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,

@@ -46,24 +46,25 @@ def test_shift_matches_np_roll(rng):
 
 def test_dq_constant_field_is_zero(grid44):
     v = Field.constant(grid44, 5.0).values
-    for dq in (fem.dqx_plus, fem.dqx_minus, fem.dqy_plus, fem.dqy_minus):
-        assert np.all(dq(v, grid44) == 0.0)
+    for dq in (fem.dq_plus, fem.dq_minus):
+        for axis in (-1, -2):
+            assert np.all(dq(v, grid44, axis) == 0.0)
 
 
 def test_dq_linear_ramp_interior(grid44):
     g = grid44
     vals = np.tile(np.arange(4) * g.hx, (4, 1))
-    dq = fem.dqx_plus(vals, g)
-    for j in range(4):
-        for i in range(3):  # wrap column excluded
-            assert dq[j, i] == pytest.approx(1.0, abs=1e-14)
+    for axis, ramp in ((-1, vals), (-2, vals.T)):
+        dq = fem.dq_plus(ramp, g, axis)
+        interior = dq[:, :3] if axis == -1 else dq[:3, :]  # wrap column (row) excluded
+        assert np.abs(interior - 1.0).max() <= 1e-14
 
 
 def test_dq_matches_bruteforce_shift_table(grid44, rng):
     # oracle: dense index arithmetic, no vectorized shifts
     v, hx, hy = rng.standard_normal((4, 4)), grid44.hx, grid44.hy
-    xp, xm = fem.dqx_plus(v, grid44), fem.dqx_minus(v, grid44)
-    yp, ym = fem.dqy_plus(v, grid44), fem.dqy_minus(v, grid44)
+    xp, xm = fem.dq_plus(v, grid44, -1), fem.dq_minus(v, grid44, -1)
+    yp, ym = fem.dq_plus(v, grid44, -2), fem.dq_minus(v, grid44, -2)
     for j in range(4):
         for i in range(4):
             assert xp[j, i] == (v[j, (i + 1) % 4] - v[j, i]) / hx
@@ -75,16 +76,16 @@ def test_dq_matches_bruteforce_shift_table(grid44, rng):
 def test_dq_composition_gives_directional_laplacian(grid65, rng):
     v = rng.standard_normal((5, 6))
     g = grid65
-    a = fem.dqx_plus(fem.dqx_minus(v, g), g)
-    b = fem.dqx_minus(fem.dqx_plus(v, g), g)
-    lx = fem.second_difference(fem.shift(v, -1, -1), v, fem.shift(v, 1, -1), g.hx)
-    scale = np.abs(lx).max()
-    assert np.abs(a - lx).max() <= 1e-15 * scale
-    assert np.abs(b - lx).max() <= 1e-15 * scale
-    ay = fem.dqy_plus(fem.dqy_minus(v, g), g)
-    ly = fem.second_difference(fem.shift(v, -1, -2), v, fem.shift(v, 1, -2), g.hy)
-    assert np.abs(ay - ly).max() <= 1e-15 * np.abs(ay).max()
-    assert np.array_equal(lx + ly, fem.lap(v, g))
+    stencils = []
+    for axis, h in ((-1, g.hx), (-2, g.hy)):
+        a = fem.dq_plus(fem.dq_minus(v, g, axis), g, axis)
+        b = fem.dq_minus(fem.dq_plus(v, g, axis), g, axis)
+        stencil = fem.second_difference(fem.shift(v, -1, axis), v, fem.shift(v, 1, axis), h)
+        scale = np.abs(stencil).max()
+        assert np.abs(a - stencil).max() <= 1e-15 * scale
+        assert np.abs(b - stencil).max() <= 1e-15 * scale
+        stencils.append(stencil)
+    assert np.array_equal(stencils[0] + stencils[1], fem.lap(v, g))
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +180,30 @@ def test_dirichlet_zero_for_constant_direction(grid65, rng):
     c = Field.constant(grid65, 2.0)
     g = Field(grid65, rng.standard_normal((5, 6)))
     a = Field(grid65, rng.uniform(0.5, 1.5, (5, 6)))
-    assert fem.dirichlet_x(c.values, g.values, grid65, a.values) == 0.0
-    assert fem.dirichlet_y(c.values, g.values, grid65) == 0.0
+    for axis in (-1, -2):
+        assert fem.dirichlet(c.values, g.values, grid65, axis, a.values) == 0.0
+        assert fem.dirichlet(c.values, g.values, grid65, axis) == 0.0
 
 
 def test_dirichlet_single_hat_hand_value():
     grid = Grid(4, 4, 1.0, 1.0)
     v = np.zeros((4, 4))
     v[1, 1] = 1.0  # one nodal hat
-    # d+x of the hat: +1/hx on edge (0,1) row 1, -1/hx on edge (1,2) row 1
+    # d+x of the hat: +1/hx on edge (0,1) row 1, -1/hx on edge (1,2) row 1;
+    # d+y mirrors it on the square grid
     expected = grid.cell_area * 2.0 / grid.hx**2
-    assert fem.dirichlet_x(v, v, grid) == pytest.approx(expected, rel=1e-14)
+    for axis in (-1, -2):
+        assert fem.dirichlet(v, v, grid, axis) == pytest.approx(expected, rel=1e-14)
 
 
 def test_dirichlet_weighted_matches_dense(rng, grid44):
     f = rng.standard_normal((4, 4))
     g = rng.standard_normal((4, 4))
     a = rng.uniform(0.5, 2.0, (4, 4))  # edge-centered weights
-    fast = fem.dirichlet_x(f, g, grid44, a)
-    dense = oracle.dense_dirichlet_x(f, g, grid44, a)
-    assert abs(fast - dense) <= 1e-12 * max(abs(fast), abs(dense), 1.0)
-    fast_y = fem.dirichlet_y(f, g, grid44, a)
-    dense_y = oracle.dense_dirichlet_y(f, g, grid44, a)
-    assert abs(fast_y - dense_y) <= 1e-12 * max(abs(fast_y), abs(dense_y), 1.0)
+    for axis, dense_form in ((-1, oracle.dense_dirichlet_x), (-2, oracle.dense_dirichlet_y)):
+        fast = fem.dirichlet(f, g, grid44, axis, a)
+        dense = dense_form(f, g, grid44, a)
+        assert abs(fast - dense) <= 1e-12 * max(abs(fast), abs(dense), 1.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -212,7 +214,7 @@ def test_summation_by_parts_property(seed):
     f = rng.standard_normal((4, 5))
     g = rng.standard_normal((4, 5))
     lhs = fem.inner_h(-fem.lap(f, grid), g, grid)
-    rhs = fem.dirichlet_x(f, g, grid) + fem.dirichlet_y(f, g, grid)
+    rhs = fem.dirichlet(f, g, grid, -1) + fem.dirichlet(f, g, grid, -2)
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
 
 
@@ -287,8 +289,8 @@ def test_discrete_gagliardo_nirenberg_monitor():
         f = Field.from_function(grid, smooth)
         sup = np.abs(f.values).max()
         h1 = np.sqrt(fem.inner_h(f.values, f.values, grid)
-                     + fem.dirichlet_x(f.values, f.values, grid)
-                     + fem.dirichlet_y(f.values, f.values, grid))
+                     + fem.dirichlet(f.values, f.values, grid, -1)
+                     + fem.dirichlet(f.values, f.values, grid, -2))
         lap_f = fem.lap(f.values, grid)
         lap_norm = np.sqrt(fem.inner_h(lap_f, lap_f, grid))
         ratios.append(sup / (lap_norm**0.25 * h1**0.75 + h1))

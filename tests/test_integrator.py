@@ -28,7 +28,7 @@ def cosine_film(grid, amp=0.1):
     ("t_max", float("nan")), ("t_max", float("inf")), ("dt", float("inf")),
     ("e_max_C", float("nan")), ("u_floor", float("nan")),
     ("snapshot_times", (0.5, float("nan"))), ("alpha", -1.0), ("alpha", 0.0),
-    ("kappa", 0.0), ("kappa", float("nan")),
+    ("kappa", 0.0), ("kappa", float("nan")), ("snapshot_times", (0.5, 2.0)),
 ])
 def test_run_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field.replace("_times", " times")):
@@ -594,10 +594,12 @@ def test_run_sums_the_mass_of_each_accepted_state_once(mat, monkeypatch):
     (np.array([True, True, True]), 10.0, 1e-5)],
     ids=["live0", "live1", "partial_acceptance"])
 def test_em_step_allocates_no_field_after_warm_up(mat, live, lambda0, floor_gap):
-    # the loop's step writes every field into the run's buffers: ten noisy
+    # the loop's step writes every field into the run's buffers: the loop
+    # holds 11 state-sized arrays after set-up (u, the 7 scratch fields, one
+    # of which takes the candidate, and the 3 output slots), and ten noisy
     # steps on 64x64 fields trace a peak below the bytes of the stepped
-    # fields, also for a stack with a replica that no longer steps, and for
-    # a stack's partial acceptance
+    # fields and keep u one array, also for a stack with a replica that no
+    # longer steps, and for a stack's partial acceptance
     import tracemalloc
     from stfe2d.integrator import _Loop
     grid = Grid(64, 64, 1.0, 1.0)
@@ -607,10 +609,16 @@ def test_em_step_allocates_no_field_after_warm_up(mat, live, lambda0, floor_gap)
     ws = NoiseWorkspace.build(NoiseModel(PowerLawSchedule(lambda0=lambda0), seed=8), grid,
                               mat.eps, seeds=[8, 9, 10] if live.shape else None)
     assert ws.active
-    loop = _Loop(SimState.initial(u0), cfg, mat, ws)
+    tracemalloc.start()
+    try:
+        loop = _Loop(SimState.initial(u0), cfg, mat, ws)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 12 * loop.u.nbytes
     loop.live &= live
     loop.advance()
-    aborts, dts = {}, []
+    u, aborts, dts = loop.u, {}, []
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -618,6 +626,7 @@ def test_em_step_allocates_no_field_after_warm_up(mat, live, lambda0, floor_gap)
             t0 = loop.t
             aborts.update(loop.advance())
             dts.append(loop.t - t0)
+            assert loop.u is u
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

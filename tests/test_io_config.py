@@ -321,6 +321,15 @@ def test_snapshot_times_must_be_a_list(value):
     assert info.value.violations == [f"run.snapshot_times must be a list (got {value!r})"]
 
 
+def test_snapshot_times_after_t_max_are_violations():
+    # run would never reach them, so they would be dropped without a word
+    with pytest.raises(ConfigError) as info:
+        assemble(Config(run={"snapshot_times": [0.0, 3.0, 4.0], "t_max": 3.0}))
+    assert info.value.violations == ["snapshot times must not exceed t_max = 3"]
+    assert assemble(Config(run={"snapshot_times": [3.0], "t_max": 3.0})).run.snapshot_times \
+        == (3.0,)
+
+
 def test_integral_floats_are_accepted_for_integer_keys(tmp_path):
     bundle = assemble(load_config(write_config(tmp_path, grid={"nx": 16.0},
                                                noise={"seed": 3.0})))

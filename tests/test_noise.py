@@ -392,8 +392,8 @@ def test_ito_correction_operator_is_discrete_laplacian_multiple():
             e = np.zeros(n)
             e[col] = 1.0
             eu = e.reshape(grid.ny, grid.nx)
-            ax[:, col] = scheme.z_apply_x(eu, w, grid).ravel()
-            ay[:, col] = scheme.z_apply_y(eu, w, grid).ravel()
+            ax[:, col] = scheme.z_apply(eu, w, grid, -1).ravel()
+            ay[:, col] = scheme.z_apply(eu, w, grid, -2).ravel()
         corr += 0.5 * lv**2 * (ax @ ax + ay @ ay)
 
     x, y = grid.node_coords()
@@ -434,7 +434,8 @@ def test_stratonovich_shift_drift_is_the_ito_correction_of_the_noise():
     correction = np.zeros_like(u)
     for k, l in truncation_set(model, grid.h, mat.eps):
         g = basis_eval(k, l, grid).values
-        for c, z_apply in enumerate((scheme.z_apply_x, scheme.z_apply_y)):
+        for c, axis in enumerate((-1, -2)):
             w = lam[c, k + r, l + r] * g
-            correction += 0.5 * z_apply(z_apply(u, w, grid), w, grid)
+            z = scheme.z_apply(u, w, grid, axis)
+            correction += 0.5 * scheme.z_apply(z, w, grid, axis)
     assert np.abs(shift_drift - correction).max() <= 0.05 * np.abs(correction).max()

@@ -123,7 +123,7 @@ def test_diffusion_zero_schedule(mat, rng, grid65):
 def test_diffusion_constant_mode_on_constant_film(grid65):
     u = Field.constant(grid65, 1.3)
     w = basis_eval(0, 0, grid65).values
-    out = scheme.z_apply_x(u.values, w, grid65) + scheme.z_apply_y(u.values, w, grid65)
+    out = scheme.z_apply(u.values, w, grid65, -1) + scheme.z_apply(u.values, w, grid65, -2)
     assert np.abs(out).max() <= 1e-15
 
 
@@ -133,16 +133,15 @@ def test_single_mode_matches_dense_table(rng):
     w = basis_eval(1, 0, grid).values
     for _ in range(5):
         u = positive_field(rng, grid)
-        fx = scheme.z_apply_x(u.values, w, grid)
-        fy = scheme.z_apply_y(u.values, w, grid)
-        assert np.abs(fx.ravel() - tx @ u.values.ravel()).max() <= 1e-12
-        assert np.abs(fy.ravel() - ty @ u.values.ravel()).max() <= 1e-12
+        for axis, table in ((-1, tx), (-2, ty)):
+            f = scheme.z_apply(u.values, w, grid, axis)
+            assert np.abs(f.ravel() - table @ u.values.ravel()).max() <= 1e-12
 
 
 def test_diffusion_conserves_mass(rng, grid65):
     u = positive_field(rng, grid65)
     w = basis_eval(2, -1, grid65).values
-    out = scheme.z_apply_x(u.values, w, grid65) + scheme.z_apply_y(u.values, w, grid65)
+    out = scheme.z_apply(u.values, w, grid65, -1) + scheme.z_apply(u.values, w, grid65, -2)
     assert abs(out.sum()) * grid65.cell_area <= 1e-12 * np.sqrt(fem.inner_h(out, out, grid65))
 
 
@@ -152,10 +151,11 @@ def test_diffusion_is_linear_in_coefficient_field(rng, grid65):
     w1 = basis_eval(1, 0, grid65).values
     w2 = basis_eval(0, -2, grid65).values
     c1, c2 = 0.7, -1.3
-    combined = scheme.z_apply_x(u.values, c1 * w1 + c2 * w2, grid65)
-    split = c1 * scheme.z_apply_x(u.values, w1, grid65) \
-        + c2 * scheme.z_apply_x(u.values, w2, grid65)
-    assert np.abs(combined - split).max() <= 1e-12 * max(1.0, np.abs(split).max())
+    for axis in (-1, -2):
+        combined = scheme.z_apply(u.values, c1 * w1 + c2 * w2, grid65, axis)
+        split = c1 * scheme.z_apply(u.values, w1, grid65, axis) \
+            + c2 * scheme.z_apply(u.values, w2, grid65, axis)
+        assert np.abs(combined - split).max() <= 1e-12 * max(1.0, np.abs(split).max())
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,8 @@ def test_dissipation_nonnegative_and_consistent(mat, rng, grid65):
     # cross-module consistency: sum of squared fluxes equals the weighted form
     p = scheme.pressure_values(u.values, mat, grid65)
     mob_x, mob_y = edge_means(mobility_mean, u.values)
-    form_x = fem.dirichlet_x(p, p, grid65, mob_x)
-    form_y = fem.dirichlet_y(p, p, grid65, mob_y)
+    form_x = fem.dirichlet(p, p, grid65, -1, mob_x)
+    form_y = fem.dirichlet(p, p, grid65, -2, mob_y)
     assert dx == pytest.approx(form_x, rel=1e-12)
     assert dy == pytest.approx(form_y, rel=1e-12)
 
@@ -282,10 +282,10 @@ def test_entropy_production_identity(mat, rng, grid65):
         heps = scheme.mesh_weight(grid65, mat.eps)
         d2f_x, d2f_y = edge_means(lambda a, b: d2F_mean(mat, a, b), u.values)
         rhs = (-fem.inner_h(lap_u, lap_u, grid65)
-               - fem.dirichlet_x(u.values, u.values, grid65, d2f_x)
-               - fem.dirichlet_y(u.values, u.values, grid65, d2f_y)
-               - heps * (fem.dirichlet_x(lap_u, lap_u, grid65)
-                         + fem.dirichlet_y(lap_u, lap_u, grid65)))
+               - fem.dirichlet(u.values, u.values, grid65, -1, d2f_x)
+               - fem.dirichlet(u.values, u.values, grid65, -2, d2f_y)
+               - heps * (fem.dirichlet(lap_u, lap_u, grid65, -1)
+                         + fem.dirichlet(lap_u, lap_u, grid65, -2)))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
 
 
