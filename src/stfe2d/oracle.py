@@ -220,10 +220,9 @@ def dense_drift_rhs(u: np.ndarray, mat: Material, grid: Grid,
 def dense_drift_residual(u: Field, mat: Material) -> float:
     """Max over hats of |lumped(L psi) - drift weak form| for the fast drift."""
     grid = u.grid
-    p = scheme.pressure_values(u.values, mat, grid)
-    fast = scheme.drift_values(u.values, mat, grid)
-    rhs = dense_drift_rhs(u.values, mat, grid, p=p)
-    return float(np.abs(grid.cell_area * fast - rhs).max())
+    terms = scheme.state_terms(u.values, mat, grid)
+    rhs = dense_drift_rhs(u.values, mat, grid, p=terms.pressure)
+    return float(np.abs(grid.cell_area * terms.drift - rhs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +448,9 @@ def run_checks(seed: int = 0, n_fields: int = 100) -> list[CheckResult]:
                               float(np.abs(fy - ty @ u.values.ravel()).max()))
             # relative drift agreement with wilder data
             uw = _positive_field(rng, grid)
-            pv = scheme.pressure_values(uw.values, mat, grid)
-            fast = grid.cell_area * scheme.drift_values(uw.values, mat, grid)
-            rhs = dense_drift_rhs(uw.values, mat, grid, p=pv)
+            terms = scheme.state_terms(uw.values, mat, grid)
+            fast = grid.cell_area * terms.drift
+            rhs = dense_drift_rhs(uw.values, mat, grid, p=terms.pressure)
             scale = max(float(np.abs(fast).max()), float(np.abs(rhs).max()), 1e-30)
             worst_rel = max(worst_rel, float(np.abs(fast - rhs).max()) / scale)
     results.append(CheckResult("pressure_weak_form", worst_p <= 1e-12, f"max residual {worst_p:.3e}"))

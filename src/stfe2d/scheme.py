@@ -27,9 +27,9 @@ linear in w, so a whole mode sum can be applied through the accumulated
 noise fields w_x, w_y at once, and its nodal sum also telescopes to zero.
 
 ``state_terms`` is the one-pass kernel the integrator calls once per
-accepted state: drift, energy parts, entropy, dissipation, oscillation
-ratio, mass and minimum from one set of periodic neighbor arrays.  ``drift_values``,
-``dissipation``, ``diagnostics.energy_h`` and ``diagnostics.r_functional``
+accepted state: pressure, drift, energy parts, entropy, dissipation, oscillation
+ratio, mass and minimum from one set of periodic neighbor arrays.  ``pressure_values``,
+``drift_values``, ``dissipation``, ``diagnostics.energy_h`` and ``diagnostics.r_functional``
 read their values from one kernel call.  The kernel writes every field
 into a ``Buffers`` set, which a run allocates once, so a step allocates no
 field; F and F' come from one reciprocal of u.
@@ -81,6 +81,7 @@ class StateTerms(NamedTuple):
     (floats for one field, arrays over the replicas for a stack)."""
 
     drift: np.ndarray
+    pressure: np.ndarray   # -lap_h u + F'(u) + h^eps lap_h^2 u, in Buffers.pressure
     energy: EnergyParts
     entropy: float
     diss_x: float          # mobility-weighted squared pressure gradients
@@ -102,11 +103,12 @@ class Buffers:
 
     ``scratch`` holds the kernel's and the noise increment's work arrays;
     ``state_terms`` writes the output fields (drift, du_x, du_y) into the
-    one ``slot``, so a state's terms stay valid until the next state is
-    evaluated on the same buffers.  The Euler-Maruyama candidate is built in
-    ``cand``, a scratch field that neither the noise fields (``scratch[0:2]``)
-    nor the increment (``scratch[2:5]``) use and that only the kernel
-    overwrites, after the candidate has been accepted into the state.
+    one ``slot`` and the pressure into ``pressure`` (``scratch[6]``), so a
+    state's terms stay valid until the next state is evaluated on the same
+    buffers.  A step writes the noise fields into ``scratch[0:2]``, the
+    increment into ``scratch[2:5]`` and the Euler-Maruyama candidate into
+    ``cand`` (``scratch[5]``), which only the kernel overwrites, after the
+    candidate has been accepted into the state.
     """
 
     SCRATCH = 7
@@ -116,7 +118,7 @@ class Buffers:
         self.scratch = tuple(block)
         # the first two scratch fields in the noise fields' (*lead, 2, ny, nx) layout
         self.noise = np.moveaxis(block[:2], 0, -3)
-        self.cand = self.scratch[5]
+        self.cand, self.pressure = self.scratch[5:]
         self.slot = tuple(np.empty((3, *shape)))
 
 
@@ -144,31 +146,14 @@ def oscillation(u: np.ndarray, east: np.ndarray, west: np.ndarray,
 # pressure, drift and the one-pass state kernel
 # ---------------------------------------------------------------------------
 
-def _pressure(lap_u: np.ndarray, df: np.ndarray, heps: float, grid: Grid,
-              tmp: tuple) -> np.ndarray:
-    """-lap_u + F'(u) + h^eps lap(lap_u), in place in ``df`` = F'(u), from
-    the Laplacian lap_u of u, the weight ``heps`` = h^eps and four scratch
-    arrays ``tmp``."""
-    bilap = fem.lap(lap_u, grid, tmp[0], tmp[1:])
-    bilap *= heps
-    df -= lap_u
-    df += bilap
-    return df
-
-
-def pressure_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
-    return _pressure(fem.lap(u, grid), mat.dF(u), mesh_weight(grid, mat.eps), grid,
-                     _fresh(u, 4))
-
-
 def state_terms(u: np.ndarray, mat: Material, grid: Grid,
                 out: Buffers | None = None) -> StateTerms:
-    """Drift, energy parts, entropy, dissipation, oscillation, mass and min of one state.
+    """Pressure, drift, energy, entropy, dissipation, oscillation, mass and min of one state.
 
     The Laplacian, the pressure and the periodic neighbors of u are each
     formed once and shared.  Every field is written into ``out`` (a fresh
     set when None): the returned drift and neighbor differences into its
-    output slot, the rest into its scratch.
+    output slot, the pressure into ``out.pressure``, the rest into scratch.
     """
     if out is None:
         out = Buffers(u.shape)
@@ -177,7 +162,7 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid,
         raise PositivityError(
             f"state_terms requires strictly positive values (min = {np.min(u_min):g})")
     drift, du_x, du_y = out.slot
-    east, north, lap_u, p, t1, t2, t3 = out.scratch
+    east, north, lap_u, t1, t2, t3, p = out.scratch
     # F is summed at once and F' kept for the pressure; the drift slot is
     # free scratch until the fluxes fill it
     mat.potential_terms(u, t1, p, (t2, t3, lap_u, drift))
@@ -201,9 +186,12 @@ def state_terms(u: np.ndarray, mat: Material, grid: Grid,
     osc = oscillation(u, east, west, (t1, t2, t3))
     np.subtract(east, west, out=du_x)
     np.subtract(north, south, out=du_y)
-    _pressure(lap_u, p, heps, grid, (t1, t2, t3, drift))
+    bilap = fem.lap(lap_u, grid, t1, (t2, t3, drift))
+    bilap *= heps
+    p -= lap_u
+    p += bilap
     diss_x, diss_y = edge_fluxes(u, east, north, p, grid, drift, (lap_u, t1))
-    return StateTerms(drift, energy, entropy, diss_x, diss_y, osc, du_x, du_y,
+    return StateTerms(drift, p, energy, entropy, diss_x, diss_y, osc, du_x, du_y,
                       fem.lumped_integral(u, grid), u_min)
 
 
@@ -226,6 +214,10 @@ def edge_fluxes(u: np.ndarray, east: np.ndarray, north: np.ndarray, p: np.ndarra
         div /= h
     out += t
     return diss[0], diss[1]
+
+
+def pressure_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
+    return state_terms(u, mat, grid).pressure
 
 
 def drift_values(u: np.ndarray, mat: Material, grid: Grid) -> np.ndarray:
@@ -257,12 +249,10 @@ def _z_apply(u: np.ndarray, w: np.ndarray, du: np.ndarray | None, axis: int,
     return out
 
 
-def z_apply(u: np.ndarray, w: np.ndarray, grid: Grid, axis: int,
-            du: np.ndarray | None = None) -> np.ndarray:
+def z_apply(u: np.ndarray, w: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Nodal action of the noise operator along ``axis`` (-1: x, -2: y) for
-    coefficient field w; ``du`` is u's ahead-minus-behind neighbor difference
-    when the caller has it (``StateTerms.du_x`` or ``du_y``)."""
-    return _z_apply(u, w, du, axis, grid.hx if axis == -1 else grid.hy, *_fresh(u, 2))
+    coefficient field w."""
+    return _z_apply(u, w, None, axis, grid.hx if axis == -1 else grid.hy, *_fresh(u, 2))
 
 
 def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,

@@ -49,18 +49,25 @@ def interpolant_evaluator(field):
     return f
 
 
+def _roll_lap(a, grid):
+    return ((np.roll(a, -1, axis=-1) - 2.0 * a + np.roll(a, 1, axis=-1)) / grid.hx**2
+            + (np.roll(a, -1, axis=-2) - 2.0 * a + np.roll(a, 1, axis=-2)) / grid.hy**2)
+
+
+def roll_reference_pressure(v, mat, grid):
+    """The pressure -lap_h v + F'(v) + h^eps lap_h^2 v of a field or a stack
+    of fields, from np.roll stencils."""
+    lap_u = _roll_lap(v, grid)
+    return -lap_u + mat.dF(v) + grid.h ** mat.eps * _roll_lap(lap_u, grid)
+
+
 def roll_reference_terms(v, mat, grid):
     """Drift, energy parts, entropy, dissipation and oscillation ratio of a
     field, from np.roll stencils and the material building blocks."""
     hx, hy, area = grid.hx, grid.hy, grid.cell_area
     heps = grid.h ** mat.eps
-
-    def lap(a):
-        return ((np.roll(a, -1, axis=1) - 2.0 * a + np.roll(a, 1, axis=1)) / hx**2
-                + (np.roll(a, -1, axis=0) - 2.0 * a + np.roll(a, 1, axis=0)) / hy**2)
-
-    lap_u = lap(v)
-    p = -lap_u + mat.dF(v) + heps * lap(lap_u)
+    lap_u = _roll_lap(v, grid)
+    p = roll_reference_pressure(v, mat, grid)
     gx = (np.roll(v, -1, axis=1) - v) / hx
     gy = (np.roll(v, -1, axis=0) - v) / hy
     e_dir = 0.5 * (area * float((gx * gx).sum()) + area * float((gy * gy).sum()))

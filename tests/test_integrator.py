@@ -533,6 +533,45 @@ def test_run_evaluates_the_state_kernel_once_per_accepted_state(mat, monkeypatch
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("seeds", [None, [4, 5, 6]], ids=["lone", "stack"])
+def test_a_state_keeps_its_pressure_until_the_next_state_is_evaluated(mat, monkeypatch,
+                                                                        seeds):
+    # StateTerms.pressure stays valid through the step that follows its
+    # state: the noise synthesis, the increments and the halvings leave it
+    # intact until the kernel evaluates the next state
+    kernel = scheme.state_terms
+    seen, attempts = [], []
+
+    def checking_kernel(u, *args):
+        if seen:
+            terms, p = seen[-1]
+            assert np.array_equal(terms.pressure, p)
+        terms = kernel(u, *args)
+        seen.append((terms, terms.pressure.copy()))
+        return terms
+
+    coefficient_fields = NoiseWorkspace.coefficient_fields
+
+    def counting_fields(ws, step, attempt, *args):
+        attempts.append(attempt)
+        return coefficient_fields(ws, step, attempt, *args)
+
+    monkeypatch.setattr(scheme, "state_terms", checking_kernel)
+    monkeypatch.setattr(NoiseWorkspace, "coefficient_fields", counting_fields)
+    grid = Grid(16, 16, 1.0, 1.0)
+    u0 = cosine_film(grid)
+    cfg = RunConfig(t_max=20 * stable_dt(grid, mat), u_floor=u0.values.min() - 1e-5)
+    model = NoiseModel(PowerLawSchedule(lambda0=10.0), seed=4)
+    if seeds is None:
+        final = run(u0, cfg, mat, model).final.u.values
+    else:
+        final = np.stack([r.final.u.values for r in run_replicas(u0, cfg, mat, model, seeds)])
+    assert max(attempts) >= 1  # at least one halving
+    terms, p = seen[-1]
+    assert np.array_equal(terms.pressure, p)
+    assert np.array_equal(p, kernel(final, mat, grid).pressure)
+
+
 def test_run_constants_are_computed_once(mat, monkeypatch):
     # the base step, the threshold energy and the buffers are constants of a
     # run: the stepping loop sets them up once, not once per step, for a
@@ -595,11 +634,12 @@ def test_run_sums_the_mass_of_each_accepted_state_once(mat, monkeypatch):
     ids=["live0", "live1", "partial_acceptance"])
 def test_em_step_allocates_no_field_after_warm_up(mat, live, lambda0, floor_gap):
     # the loop's step writes every field into the run's buffers: the loop
-    # holds 11 state-sized arrays after set-up (u, the 7 scratch fields, one
-    # of which takes the candidate, and the 3 output slots), and ten noisy
-    # steps on 64x64 fields trace a peak below the bytes of the stepped
-    # fields and keep u one array, also for a stack with a replica that no
-    # longer steps, and for a stack's partial acceptance
+    # holds 11 state-sized arrays after set-up (u, the 7 scratch fields, of
+    # which the candidate and the pressure take one each, and the 3 output
+    # slots), and ten noisy steps on 64x64 fields trace a peak below the
+    # bytes of the stepped fields and keep u one array, also for a stack
+    # with a replica that no longer steps, and for a stack's partial
+    # acceptance
     import tracemalloc
     from stfe2d.integrator import _Loop
     grid = Grid(64, 64, 1.0, 1.0)

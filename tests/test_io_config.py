@@ -451,7 +451,7 @@ def test_cli_rejects_a_nan_snapshot_without_a_traceback(tmp_path):
     path = write_config(tmp_path, initial={"kind": "file", "path": snap})
     src = Path(stfe2d.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-m", "stfe2d.cli", "run", str(path)], env=env,
+    proc = subprocess.run([sys.executable, "-m", "stfe2d", "run", str(path)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == cli.EXIT_VALIDATION
     assert "initial.path" in proc.stdout

@@ -122,6 +122,18 @@ def test_draws_are_pinned():
         -0.08410306399541692, 1.3051083756163735]
 
 
+def test_scalar_and_array_counters_draw_the_same_numbers():
+    # a run mixes its one counter in Python ints; arrays of counters take
+    # the uint64 branch, and both branches draw the same numbers
+    keys = mode_keys(7, np.array([[0], [1]]), [1, 0, -2, 5], [0, 1, 3, -4]).ravel()
+    counters = [0, 1, 63, step_counter(123457, 5), 2**62, 2**63 - 1]
+    table = standard_normals(keys[:, None], np.array(counters, dtype=np.uint64))
+    for i, c in enumerate(counters):
+        scalar = standard_normals(keys, c)
+        assert np.array_equal(scalar, standard_normals(keys, np.array(c, dtype=np.uint64)))
+        assert np.array_equal(scalar, table[:, i])
+
+
 def test_stacked_keys_draw_like_separate_calls():
     model = NoiseModel(PowerLawSchedule(), seed=31)
     modes = truncation_set(model, 1.0 / 8, 1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import positive_field, roll_reference_terms
+from conftest import positive_field, roll_reference_pressure, roll_reference_terms
 from stfe2d import diagnostics, fem, oracle, scheme
 from stfe2d.grid import Field, Grid
 from stfe2d.material import Material, PositivityError, d2F_mean, mobility_mean
@@ -199,6 +199,21 @@ def test_state_kernel_equals_the_separate_views(rng, strat_shift):
     assert diagnostics.entropy_h(u, mat) == entropy
     assert diagnostics.r_functional(u, mat, 1.5, 0.7) == 1.5 + energy[3] + 0.7 * entropy
     assert diagnostics.oscillation_ratio(u) == osc
+
+
+@pytest.mark.parametrize("strat_shift", [0.0, 0.3])
+def test_kernel_pressure_equals_the_roll_reference(rng, strat_shift):
+    # the kernel returns its pressure, for one field and for each replica of
+    # a stack, and pressure_values reads it
+    mat = Material(strat_shift=strat_shift)
+    grid = Grid(24, 16, 1.5, 0.8)
+    stack = np.stack([positive_field(rng, grid).values for _ in range(3)])
+    terms = scheme.state_terms(stack, mat, grid)
+    for r, u in enumerate(stack):
+        p = roll_reference_pressure(u, mat, grid)
+        assert np.array_equal(terms.pressure[r], p)
+        assert np.array_equal(scheme.state_terms(u, mat, grid).pressure, p)
+        assert np.array_equal(scheme.pressure_values(u, mat, grid), p)
 
 
 def test_stacked_kernel_and_noise_equal_each_field(rng):
