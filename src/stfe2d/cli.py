@@ -1,7 +1,7 @@
 """Command-line entry points: run | check | converge.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime abort
-(positivity or overflow), 3 self-check failure.
+Exit codes: 0 success, 1 configuration/validation or usage error, 2 runtime
+abort (positivity or overflow), 3 self-check failure.
 """
 
 from __future__ import annotations
@@ -130,5 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     return args.func(args)

@@ -53,11 +53,11 @@ def second_difference(ahead: np.ndarray, centre: np.ndarray, behind: np.ndarray,
 def dq_plus(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f[i+1] - f[i]) / h along ``axis`` (-1: x, -2: y) with periodic wrap;
     lives on the edge (i+1/2) in that direction."""
-    return (shift(values, -1, axis) - values) / (grid.hx if axis == -1 else grid.hy)
+    return (shift(values, -1, axis) - values) / grid.spacing(axis)
 
 
 def dq_minus(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    return (values - shift(values, 1, axis)) / (grid.hx if axis == -1 else grid.hy)
+    return (values - shift(values, 1, axis)) / grid.spacing(axis)
 
 
 # ---------------------------------------------------------------------------

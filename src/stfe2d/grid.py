@@ -40,6 +40,12 @@ class Grid:
     def hy(self) -> float:
         return self.Ly / self.ny
 
+    def spacing(self, axis: int) -> float:
+        """The step along a field axis: hx for -1 (x), hy for -2 (y)."""
+        if axis not in (-1, -2):
+            raise ValueError(f"grid axis must be -1 (x) or -2 (y), got {axis!r}")
+        return self.hx if axis == -1 else self.hy
+
     @property
     def h(self) -> float:
         """Dimensionless mesh parameter max(hx, hy) / (1 length unit).

@@ -252,7 +252,7 @@ def _z_apply(u: np.ndarray, w: np.ndarray, du: np.ndarray | None, axis: int,
 def z_apply(u: np.ndarray, w: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """Nodal action of the noise operator along ``axis`` (-1: x, -2: y) for
     coefficient field w."""
-    return _z_apply(u, w, None, axis, grid.hx if axis == -1 else grid.hy, *_fresh(u, 2))
+    return _z_apply(u, w, None, axis, grid.spacing(axis), *_fresh(u, 2))
 
 
 def diffusion_values(u: np.ndarray, grid: Grid, wx: np.ndarray, wy: np.ndarray,

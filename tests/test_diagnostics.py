@@ -29,8 +29,8 @@ def test_energy_parts_against_dense_quadrature(mat, rng):
     u = positive_field(rng, grid)
     parts = diagnostics.energy_h(u, mat)
     v = u.values
-    e_dir = 0.5 * (oracle.dense_dirichlet_x(v, v, grid)
-                   + oracle.dense_dirichlet_y(v, v, grid))
+    e_dir = 0.5 * (oracle.dense_dirichlet(v, v, grid, -1)
+                   + oracle.dense_dirichlet(v, v, grid, -2))
     e_pot = oracle.dense_lumped_integral(mat.potential_F(v), grid)
     lap = fem.lap(v, grid)
     e_curv = 0.5 * scheme.mesh_weight(grid, mat.eps) \

@@ -665,6 +665,27 @@ def test_cli_check_failure_exit_code(monkeypatch, capsys):
     assert "FAIL drift_weak_form" in out
 
 
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["run"]], ids=["none", "bogus", "run"])
+def test_cli_usage_error_exits_as_a_rejection(argv, capsys):
+    # exit 2 is kept for a runtime abort; argparse's own usage exit is 2
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "usage: stfe2d" in capsys.readouterr().err
+
+
+def test_cli_help_exits_ok(capsys):
+    assert cli.main(["--help"]) == cli.EXIT_OK
+    assert "usage: stfe2d" in capsys.readouterr().out
+
+
+def test_python_m_stfe2d_without_a_command_exits_1():
+    src = Path(stfe2d.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "stfe2d"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert "Traceback" not in proc.stderr
+
+
 def test_package_import_does_not_load_scipy():
     src = Path(stfe2d.__file__).resolve().parents[1]
     code = ("import sys, stfe2d, stfe2d.cli, stfe2d.harness; "

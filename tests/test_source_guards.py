@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import stfe2d
 
 SRC = Path(stfe2d.__file__).parent
@@ -141,3 +143,37 @@ def test_perfbench_traced_names_exist():
             missing.append(f"{ast.unparse(owner)}.{attr}")
     assert len(ret.value.elts) >= 10
     assert missing == []
+
+
+def test_the_dense_oracle_stays_independent_of_the_stencils():
+    # the reference assemblies may borrow the quadrature rule and the mesh
+    # weight; only the comparators call the fast stencils they check
+    comparators = {"dense_weak_residual", "dense_drift_residual", "chain_rule_residual",
+                   "run_checks"}
+    allowed = {"fem.gauss_rule", "scheme.mesh_weight"}
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    found = []
+    for func in funcs:
+        if func.name in comparators:
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("fem", "scheme")):
+                name = f"{node.value.id}.{node.attr}"
+                if name not in allowed:
+                    found.append(f"{func.name}: {name}")
+    imports = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               and n.module in ("fem", "scheme")]
+    assert len(funcs) > 10 and comparators <= {f.name for f in funcs}
+    assert found == [] and imports == []
+
+
+def test_grid_spacing_rejects_an_axis_that_is_not_x_or_y():
+    from stfe2d.grid import Grid
+
+    grid = Grid(4, 5, 1.0, 0.5)
+    assert (grid.spacing(-1), grid.spacing(-2)) == (grid.hx, grid.hy)
+    for axis in (0, 1, -3):
+        with pytest.raises(ValueError):
+            grid.spacing(axis)
